@@ -19,7 +19,9 @@ arguments (Lemma 3) show constants cannot help a mapping encode the
 unboundedly many values a round trip must preserve.
 
 Candidate pairs are bulk-rejected by the gadget refuter
-(:mod:`repro.core.counterexample`) before the exact chase-based checks run.
+(:class:`repro.core.counterexample.GridRefuter`, which answers
+``quick_reject`` for the whole α×β grid as a join on α's gadget images)
+before the exact chase-based checks run.
 
 Resilience (see ``docs/RESILIENCE.md``): every scan driver here accepts a
 whole-scan ``deadline`` and a per-pair ``pair_deadline`` (cooperative —
@@ -46,7 +48,8 @@ from typing import (
     Tuple,
 )
 
-from repro.core.counterexample import quick_reject
+# quick_reject is looked up here by perfbench/layers.py, which times it.
+from repro.core.counterexample import GridRefuter, quick_reject  # noqa: F401
 from repro.cq import backends as _backends
 from repro.errors import DeadlineExceeded, MappingError
 from repro.mappings.dominance import DominancePair
@@ -388,18 +391,18 @@ def _chunk_scan_core(
     witness: Optional[int] = None
     timed_out = False
     n_betas = len(betas)
+    refuter = GridRefuter(alphas, betas)
     with _span("search.scan"), _deadline.deadline_scope(scan_deadline) as scope:
         try:
             for flat in range(start, end):
                 _deadline.poll()
-                alpha = alphas[flat // n_betas]
-                beta = betas[flat % n_betas]
+                a, b = divmod(flat, n_betas)
                 pairs_tried += 1
-                if quick_reject(alpha, beta):
+                if refuter.rejects(a, b):
                     gadget_rejected += 1
                     continue
                 exact_checks += 1
-                hit, timed = _checked_pair(alpha, beta, pair_budget)
+                hit, timed = _checked_pair(alphas[a], betas[b], pair_budget)
                 if timed:
                     pair_timeouts += 1
                     continue
@@ -652,19 +655,21 @@ def search_dominance(
                     on_progress,
                 )
             elif total_pairs > 0:
+                refuter = GridRefuter(alphas, betas)
                 with _span("search.scan"):
                     if on_progress is not None:
                         on_progress(0, total_pairs, "")
                     for flat in range(total_pairs):
                         _deadline.poll()
-                        alpha = alphas[flat // len(betas)]
-                        beta = betas[flat % len(betas)]
+                        a, b = divmod(flat, len(betas))
                         pairs_tried += 1
-                        if quick_reject(alpha, beta):
+                        if refuter.rejects(a, b):
                             gadget_rejected += 1
                         else:
                             exact_checks += 1
-                            hit, timed = _checked_pair(alpha, beta, pair_deadline)
+                            hit, timed = _checked_pair(
+                                alphas[a], betas[b], pair_deadline
+                            )
                             if timed:
                                 pair_timeouts += 1
                             elif hit:

@@ -16,8 +16,8 @@ an honest measure of how much of the run the trace explains.
 Design constraints:
 
 * **Cheap.**  A tick is one lock-guarded dict read plus a few dict
-  increments; at the default 97 Hz the measured overhead on the E1 scan
-  is well under the 5% budget ``benchmarks/bench_perf.py`` guards.
+  increments; ``benchmarks/bench_perf.py`` measures the overhead at the
+  default 97 Hz on the E1 scan against a 5% budget.
 * **Prime default rate.**  97 Hz (not 100) so the sampler cannot phase-
   lock with periodic work and systematically over- or under-sample a
   phase.

@@ -236,12 +236,17 @@ def test_clean_three_worker_fleet_stitches_to_three_swimlanes(tmp_path):
     # losslessly through spans_from_chrome.
     worker_args = SCAN_ARGS + ["--fabric", "fab", "--shard-cells", "2",
                                "--lease-ttl", "5.0"]
+    # Every worker must lease a shard to get a swimlane.  Each claim
+    # sleeps 1.5 s (well inside the 5 s TTL) before its shard is scanned,
+    # so two early workers need about 4.5 s to lease all 8 shards: far
+    # more than the third worker's start-up lag, however fast the scan.
+    plan = FaultPlan([rule("fabric.shard", "delay", delay=1.5)], install_pid=0)
     procs = [
         subprocess.Popen(
             [sys.executable, "-m", "repro", *worker_args,
              "--fabric-owner", f"w-{i}"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            env=_env(), cwd=tmp_path,
+            env=_env({faults.ENV_VAR: plan.as_json()}), cwd=tmp_path,
         )
         for i in range(3)
     ]

@@ -5,14 +5,19 @@ import json
 import pytest
 
 
-def _report(e1_optimized=0.5, e1_baseline=5.0, mode="full", **extra_workloads):
+def _report(e1_optimized=0.5, e1_baseline=5.0, mode="full", calibration=1.0,
+            evaluate=None, **extra_workloads):
     workloads = {
         "e1_theorem13_scan": {
             "baseline_s": e1_baseline,
             "optimized_s": e1_optimized,
+            "optimized_median_s": e1_optimized,
+            "calibration_s": calibration,
             "verdicts_equal": True,
         }
     }
+    if evaluate is not None:
+        workloads["e1_theorem13_scan"]["evaluate_self_s"] = evaluate
     workloads.update(extra_workloads)
     return {
         "timestamp": "2026-08-06T00:00:00",
@@ -70,8 +75,91 @@ def test_2x_slowdown_is_flagged_without_appending(bench_history, paths, capsys):
 def test_machine_drift_cancels_in_the_ratio(bench_history, paths):
     bench, history = paths
     assert _run(bench_history, bench, history, _report(0.5, 5.0)) == 0
-    # A 3× slower machine scales both modes; the gate must not fire.
-    assert _run(bench_history, bench, history, _report(1.5, 15.0)) == 0
+    # A 3× slower machine scales the calibration loop too; the gate must
+    # not fire.
+    assert _run(
+        bench_history, bench, history, _report(1.5, 15.0, calibration=3.0)
+    ) == 0
+
+
+def test_uniformly_faster_run_passes(bench_history, paths):
+    bench, history = paths
+    assert _run(bench_history, bench, history, _report(0.5, 5.0)) == 0
+    # A 2× faster machine: every time halves, the calibration loop's too.
+    assert _run(
+        bench_history, bench, history, _report(0.25, 2.5, calibration=0.5)
+    ) == 0
+
+
+def test_speedup_shared_with_the_baseline_passes(bench_history, paths):
+    bench, history = paths
+    assert _run(bench_history, bench, history, _report(0.5, 5.0)) == 0
+    # Code both modes run got faster: the optimized path halves while the
+    # baseline falls 10×, so optimized/baseline rises from 0.1 to 0.5.
+    # That is no regression; the calibrated optimized time fell.
+    assert _run(bench_history, bench, history, _report(0.25, 0.5)) == 0
+    assert len(history.read_text().splitlines()) == 2
+
+
+def test_slower_optimized_path_still_fails(bench_history, paths, capsys):
+    bench, history = paths
+    assert _run(
+        bench_history, bench, history, _report(0.5, 5.0, mode="smoke")
+    ) == 0
+    capsys.readouterr()
+    # The machine got 2× faster but the optimized path did not: in
+    # calibration units it is 2× slower, beyond the 1.5× threshold, even
+    # though the baseline sped up with the machine.
+    code = _run(
+        bench_history, bench, history,
+        _report(0.5, 2.5, mode="smoke", calibration=0.5),
+    )
+    assert code == 1
+    assert "REGRESSION smoke/e1_theorem13_scan" in capsys.readouterr().out
+    assert len(history.read_text().splitlines()) == 1
+
+
+def test_full_mode_e1_obs_limit_warns_without_blocking(bench_history, paths, capsys):
+    bench, history = paths
+    for mode in ("full", "smoke"):
+        assert _run(bench_history, bench, history, _report(mode=mode)) == 0
+    capsys.readouterr()
+    # 10% slower: within the 1.5× threshold, beyond full mode's 5% limit,
+    # which warns but does not block.
+    assert _run(
+        bench_history, bench, history, _report(0.55, mode="smoke")
+    ) == 0
+    assert "OBS WARNING" not in capsys.readouterr().out
+    assert _run(bench_history, bench, history, _report(0.55)) == 0
+    out = capsys.readouterr().out
+    assert "OBS WARNING full/e1_theorem13_scan" in out
+    assert "× 1.05" in out
+    assert "REGRESSION" not in out
+    assert _run(bench_history, bench, history, _report(0.52)) == 0
+    assert "OBS WARNING" not in capsys.readouterr().out
+    # Beyond 1.5× the full-mode E1 time still blocks, without a warning.
+    assert _run(bench_history, bench, history, _report(1.0)) == 1
+    out = capsys.readouterr().out
+    assert "REGRESSION full/e1_theorem13_scan" in out
+    assert "OBS WARNING" not in out
+
+
+def test_evaluate_phase_is_gated_in_full_mode(bench_history, paths, capsys):
+    bench, history = paths
+    assert _run(bench_history, bench, history, _report(evaluate=0.1)) == 0
+    capsys.readouterr()
+    assert _run(bench_history, bench, history, _report(evaluate=0.2)) == 1
+    assert "REGRESSION full/e1_evaluate_self_s" in capsys.readouterr().out
+    assert _run(bench_history, bench, history, _report(evaluate=0.12)) == 0
+
+
+def test_uncalibrated_history_entries_are_not_comparable(bench_history, paths, capsys):
+    bench, history = paths
+    legacy = bench_history.entry_from_report(_report(e1_optimized=0.1))
+    del legacy["calibration_s"]
+    bench_history.append_entry(history, legacy)
+    assert _run(bench_history, bench, history, _report(e1_optimized=0.5)) == 0
+    assert "non-blocking" in capsys.readouterr().out
 
 
 def test_median_is_robust_to_one_noisy_entry(bench_history, paths):
@@ -138,6 +226,9 @@ def test_unusable_report_exits_2(bench_history, paths, capsys):
     assert bench_history.main(
         ["--bench", str(bench), "--history", str(history)]
     ) == 2
+    uncalibrated = _report()
+    del uncalibrated["workloads"]["e1_theorem13_scan"]["calibration_s"]
+    assert _run(bench_history, bench, history, uncalibrated) == 2
 
 
 def test_repo_seed_history_matches_bench_report(bench_history):

@@ -40,6 +40,19 @@ def test_metrics_exposes_prometheus_text(client):
     assert len(exposed) == len(set(exposed))
 
 
+def test_cache_miss_counts_refuter_classes_and_round_trips(client):
+    # A cache miss runs the search, whose grid refuter counts the α image
+    # classes it formed and the (class, β) round trips it ran.
+    request = {"schema1": "G1(a*: T, b: U)", "schema2": "H1(x*: T, y: U)"}
+    classes = _metric(client, "repro_search_alpha_classes")
+    round_trips = _metric(client, "repro_search_round_trip_checks")
+    status, body = client.post("/v1/dominance", request)
+    assert status == 200
+    assert json.loads(body)["found"] is True
+    assert _metric(client, "repro_search_alpha_classes") > classes
+    assert _metric(client, "repro_search_round_trip_checks") > round_trips
+
+
 def test_equivalence_positive_and_negative(client):
     status, body = client.post(
         "/v1/equivalence", {"schema1": SCHEMA_A, "schema2": SCHEMA_B}
