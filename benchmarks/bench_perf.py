@@ -44,8 +44,8 @@ the profiler ratio at 0.96–1.08 and the telemetry ratio at 0.95–1.06
 The backend subsystem adds two more checks and a record:
 
 * **backend sweep** — the optimized E1 scan is re-timed once per
-  registered evaluation backend (``naive``/``indexed``/``bitset``/
-  ``auto``); every sweep entry must reproduce the reference verdicts
+  registered evaluation backend (``naive``/``indexed``); every sweep
+  entry must reproduce the reference verdicts
   (``backends.<name>.verdicts_equal``), and any mismatch fails the run.
 * **evaluate phase** — ``evaluate_self_s`` (summed self-time of the
   ``evaluate.<backend>`` span family) is recorded for the history gate.
@@ -103,7 +103,7 @@ TELEMETRY_OVERHEAD_TOLERANCE = 0.05
 
 # Every registered evaluation backend is timed on the E1 scan and must
 # reproduce the reference verdicts exactly.
-BACKEND_SWEEP = ("naive", "indexed", "bitset", "auto")
+BACKEND_SWEEP = ("naive", "indexed")
 
 # The E6 containment runs are ~3 ms each; best-of this many extra
 # repeats keeps the speedup assertion out of scheduler-noise territory.
@@ -316,7 +316,7 @@ def _backend_sweep(run, reference_result, repeats: int) -> dict:
     sweep isolates the backend choice itself.
     """
     results = {}
-    previous = _backends.set_default_backend("auto")
+    previous = _backends.set_default_backend("indexed")
     try:
         for name in BACKEND_SWEEP:
             _backends.set_default_backend(name)

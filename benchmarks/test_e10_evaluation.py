@@ -3,13 +3,16 @@
 Validated claim: the hash-join evaluator handles star joins over fact
 tables that grow to 10⁴–10⁵ tuples; the naive evaluator is only feasible
 on small instances (ablation, bounded sizes) and agrees with the hash-join
-path where it runs.
+path where it runs.  The Yannakakis group times the evaluator's semijoin
+reducer on dangling-heavy and bowtie instances, each cross-checked
+against the naive evaluator on a small copy.
 """
 
 import pytest
 
 from repro.cq.evaluation import evaluate, evaluate_naive
 from repro.cq.parser import parse_query
+from repro.utils import memo
 from repro.workloads import random_graph_instance, star_join_instance
 
 STAR_QUERY = parse_query(
@@ -70,6 +73,17 @@ def test_e10_triangle_query(benchmark, edges):
     assert result.schema.arity == 1
 
 
+def uncached(benchmark, run):
+    """Time ``run`` with the evaluate memo emptied before every round.
+
+    ``evaluate`` answers a repeat on an instance of at most 2 048 rows
+    from its memo, which would time a dict probe instead of the join.
+    """
+    return benchmark.pedantic(
+        run, setup=memo.memo("evaluate").clear, rounds=20, iterations=1
+    )
+
+
 def dangling_heavy_instance(chain_rows: int, dangling: int):
     """A short path plus many dangling edges that never extend to a chain."""
     from repro.relational import DatabaseInstance, Value
@@ -86,26 +100,17 @@ def dangling_heavy_instance(chain_rows: int, dangling: int):
 @pytest.mark.benchmark(group="e10-yannakakis-ablation")
 @pytest.mark.parametrize("dangling", [2_000, 20_000])
 def test_e10_ablation_yannakakis(benchmark, dangling):
-    from repro.cq.yannakakis import evaluate_acyclic
+    """Chain-4 over a 64-edge path plus dangling edges: the evaluator's
+    semijoin reducer removes every dangling edge before the join."""
     from repro.workloads import chain_query
 
-    instance = dangling_heavy_instance(chain_rows=64, dangling=dangling)
     query = chain_query(4)
+    small = dangling_heavy_instance(chain_rows=6, dangling=8)
+    assert evaluate(query, small).rows == evaluate_naive(query, small).rows
 
-    result = benchmark(lambda: evaluate_acyclic(query, instance))
+    instance = dangling_heavy_instance(chain_rows=64, dangling=dangling)
+    result = uncached(benchmark, lambda: evaluate(query, instance))
     assert len(result) == 61  # 64-edge path has 61 chains of length 4
-
-
-@pytest.mark.benchmark(group="e10-yannakakis-ablation")
-@pytest.mark.parametrize("dangling", [2_000, 20_000])
-def test_e10_ablation_standard_on_dangling(benchmark, dangling):
-    from repro.workloads import chain_query
-
-    instance = dangling_heavy_instance(chain_rows=64, dangling=dangling)
-    query = chain_query(4)
-
-    result = benchmark(lambda: evaluate(query, instance))
-    assert len(result) == 61
 
 
 def bowtie_instance(n: int):
@@ -122,19 +127,14 @@ def bowtie_instance(n: int):
 @pytest.mark.benchmark(group="e10-yannakakis-ablation")
 @pytest.mark.parametrize("n", [200, 400])
 def test_e10_ablation_yannakakis_bowtie(benchmark, n):
-    from repro.cq.yannakakis import evaluate_acyclic
+    """Bowtie chain-3: the reducer empties a table, so no join runs."""
     from repro.workloads import chain_query
 
-    instance = bowtie_instance(n)
-    result = benchmark(lambda: evaluate_acyclic(chain_query(3), instance))
-    assert result.is_empty()
-
-
-@pytest.mark.benchmark(group="e10-yannakakis-ablation")
-@pytest.mark.parametrize("n", [200, 400])
-def test_e10_ablation_standard_bowtie(benchmark, n):
-    from repro.workloads import chain_query
+    query = chain_query(3)
+    small = bowtie_instance(4)
+    assert evaluate_naive(query, small).is_empty()
+    assert evaluate(query, small).is_empty()
 
     instance = bowtie_instance(n)
-    result = benchmark(lambda: evaluate(chain_query(3), instance))
+    result = uncached(benchmark, lambda: evaluate(query, instance))
     assert result.is_empty()

@@ -18,9 +18,9 @@ in the syntax of :mod:`repro.cq.parser`.
   whole keyed-schema universe for Theorem 13's prediction (experiment E1).
 
 ``contains``, ``search`` and ``theorem13`` take ``--backend NAME`` to pin
-the conjunctive-query evaluation backend (``auto``/``naive``/``indexed``/
-``bitset``, see docs/PERFORMANCE.md); ``$REPRO_BACKEND`` sets the same
-default from the environment.
+the conjunctive-query evaluation backend (``indexed``, the default, or the
+``naive`` reference enumerator, see docs/PERFORMANCE.md);
+``$REPRO_BACKEND`` sets the same default from the environment.
 
 ``search`` and ``theorem13`` share the observability flags
 (``docs/OBSERVABILITY.md``): ``--trace FILE.jsonl`` writes a structured
@@ -200,11 +200,11 @@ def _apply_perf_flags(args: argparse.Namespace) -> None:
 def _add_backend_flag(p: argparse.ArgumentParser) -> None:
     """The evaluation-backend selector shared by several commands."""
     p.add_argument(
-        "--backend", choices=("auto", "naive", "indexed", "bitset"),
+        "--backend", choices=("indexed", "naive"),
         default=None, metavar="NAME",
-        help="evaluation backend: auto (Yannakakis-over-bitsets for "
-        "acyclic queries, indexed joins otherwise), naive, indexed, or "
-        "bitset; overrides $REPRO_BACKEND (default: auto)",
+        help="evaluation backend: indexed (semijoin-reduced hash joins) "
+        "or naive (the reference enumerator); overrides $REPRO_BACKEND "
+        "(default: indexed)",
     )
 
 
@@ -354,8 +354,6 @@ def _hypergraph_census(snapshot) -> dict:
         "acyclic_fraction": (acyclic / compiled) if compiled else 0.0,
         "mean_atoms": mean("hypergraph.atoms"),
         "mean_join_tree_depth": mean("hypergraph.join_tree_depth"),
-        "routed_acyclic": int(snapshot.get("hypergraph.route.acyclic", 0)),
-        "routed_cyclic": int(snapshot.get("hypergraph.route.cyclic", 0)),
     }
 
 

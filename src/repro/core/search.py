@@ -256,7 +256,7 @@ class _WorkerEnv(NamedTuple):
     budget: Optional[float] = None
     pair_budget: Optional[float] = None
     profile_hz: Optional[float] = None
-    backend: str = "auto"
+    backend: str = "indexed"
 
 
 def _worker_env(

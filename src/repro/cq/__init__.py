@@ -91,12 +91,12 @@ from repro.cq.containment_deps import (
 )
 from repro.cq.composition import compose_views, identity_view, unfold
 from repro.cq.certain import certain_answers, possible_answers
-from repro.cq.yannakakis import evaluate_acyclic, join_tree
 from repro.cq.hypergraph import (
     QueryStatistics,
     hyperedges,
     is_alpha_acyclic,
     join_graph,
+    join_tree,
     query_statistics,
 )
 from repro.cq.ucq import (
@@ -157,7 +157,6 @@ __all__ = [
     "egds_of_schema",
     "equality_structure",
     "evaluate",
-    "evaluate_acyclic",
     "evaluate_naive",
     "find_homomorphism",
     "find_homomorphism_naive",

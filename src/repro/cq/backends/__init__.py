@@ -1,24 +1,22 @@
-"""Pluggable evaluation backends for conjunctive queries.
+"""Evaluation backends for conjunctive queries.
 
-The registry owns one instance of every backend and the process-wide
+The registry owns one instance of each backend and the process-wide
 *default* selection that :func:`repro.cq.evaluation.evaluate` dispatches
 through:
 
-* ``naive`` — the reference enumerator (differential-testing oracle);
-* ``indexed`` — pipelined hash joins over compiled plans (the historical
-  production path);
-* ``bitset`` — semijoin reduction and join over Python-int posting
-  bitmasks, Yannakakis-ordered on acyclic queries;
-* ``auto`` — the router: acyclic → ``bitset`` (Yannakakis), otherwise
-  ``indexed``.
+* ``indexed`` — the production evaluator: scan each atom once,
+  semijoin-reduce bodies that have a join tree (Yannakakis), then
+  hash-join in greedy order, dropping each variable once no later atom
+  and no head term needs it;
+* ``naive`` — the reference enumerator (differential-testing oracle).
 
-The default backend is ``auto``, overridable per process with the
-``REPRO_BACKEND`` environment variable (how the CI bitset leg runs the
-whole suite through the alternate hot path), per run with the CLI's
+The default backend is ``indexed``, overridable per process with the
+``REPRO_BACKEND`` environment variable, per run with the CLI's
 ``--backend`` flag, and per call with ``evaluate(..., backend=...)``.
-The parallel search ships the parent's selection to spawned workers via
-``_WorkerEnv`` (:mod:`repro.core.search`), so a scan uses one backend
-everywhere regardless of start method.
+An unknown name raises :class:`repro.errors.EvaluationError` listing the
+valid ones.  The parallel search ships the parent's selection to spawned
+workers via ``_WorkerEnv`` (:mod:`repro.core.search`), so a scan uses one
+backend everywhere regardless of start method.
 """
 
 from __future__ import annotations
@@ -27,21 +25,17 @@ import os
 from typing import Dict, Optional, Tuple
 
 from repro.cq.backends.base import Backend, synthesize_view_schema
-from repro.cq.backends.bitset import BitsetBackend
 from repro.cq.backends.indexed import IndexedBackend
 from repro.cq.backends.naive import NaiveBackend
 from repro.cq.backends.plan import EvalPlan, compile_plan, order_atoms
-from repro.cq.backends.router import RouterBackend
 from repro.errors import EvaluationError
 
 __all__ = [
     "Backend",
-    "BitsetBackend",
     "ENV_VAR",
     "EvalPlan",
     "IndexedBackend",
     "NaiveBackend",
-    "RouterBackend",
     "available_backends",
     "compile_plan",
     "default_backend_name",
@@ -64,10 +58,8 @@ def register(backend: Backend) -> Backend:
     return backend
 
 
-_naive = register(NaiveBackend())
-_indexed = register(IndexedBackend())
-_bitset = register(BitsetBackend())
-_router = register(RouterBackend(acyclic=_bitset, fallback=_indexed))
+register(NaiveBackend())
+register(IndexedBackend())
 
 # The process default: resolved lazily so a bad REPRO_BACKEND raises a
 # clear EvaluationError at first use instead of a mid-import stack trace.
@@ -91,10 +83,10 @@ def get_backend(name: str) -> Backend:
 
 
 def default_backend_name() -> str:
-    """The process-default backend name (env ``REPRO_BACKEND`` or ``auto``)."""
+    """The process-default backend name (env ``REPRO_BACKEND`` or ``indexed``)."""
     global _default_name
     if _default_name is None:
-        name = os.environ.get(ENV_VAR, "auto")
+        name = os.environ.get(ENV_VAR, "indexed")
         get_backend(name)  # validate before committing
         _default_name = name
     return _default_name

@@ -6,21 +6,8 @@ contract — :meth:`Backend.evaluate` over an explicit view scheme — and
 are required to produce row-identical answers; they differ only in how
 the work is done (and therefore in constant factors and worst-case
 behaviour).  The registry in :mod:`repro.cq.backends` owns one instance
-of each and the dispatcher in :mod:`repro.cq.evaluation` routes every
+of each and the dispatcher in :mod:`repro.cq.evaluation` sends every
 ``evaluate`` call through it.
-
-Beyond evaluation, a backend exposes two advisory hooks:
-
-* :meth:`Backend.supports` — capability check: can this backend handle
-  the query at all?  All shipped backends handle every query, but the
-  hook lets an experimental backend (say, one restricted to acyclic
-  queries) participate in routing without special cases.
-* :meth:`Backend.cost_estimate` — a unitless effort heuristic ("row
-  visits") a router may compare across backends.
-
-Routing itself is the third hook: :meth:`Backend.select` returns the
-backend that should actually run the query (itself, by default).  The
-``auto`` router overrides it to dispatch on α-acyclicity.
 """
 
 from __future__ import annotations
@@ -76,28 +63,6 @@ class Backend(abc.ABC):
         synthesises one when the call site passed none), so backends never
         need type inference.
         """
-
-    def supports(self, query: ConjunctiveQuery) -> bool:
-        """Capability hook: True iff this backend can evaluate ``query``."""
-        return True
-
-    def cost_estimate(
-        self, query: ConjunctiveQuery, instance: DatabaseInstance
-    ) -> float:
-        """Advisory effort heuristic in row visits (lower is cheaper).
-
-        The default charges every body atom a full scan of its relation —
-        a deliberately pessimistic baseline that concrete backends refine.
-        """
-        return float(
-            sum(len(instance.relation(a.relation)) for a in query.body) or 1
-        )
-
-    def select(
-        self, query: ConjunctiveQuery, instance: DatabaseInstance
-    ) -> "Backend":
-        """Routing hook: the backend that should actually run ``query``."""
-        return self
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r}>"

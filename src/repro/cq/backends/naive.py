@@ -87,10 +87,3 @@ class NaiveBackend(Backend):
                 rows.add(head_row(query.head, binding))
         return RelationInstance(view_schema, rows)
 
-    def cost_estimate(
-        self, query: ConjunctiveQuery, instance: DatabaseInstance
-    ) -> float:
-        cost = 1.0
-        for atom in query.body:
-            cost *= max(1, len(instance.relation(atom.relation)))
-        return cost

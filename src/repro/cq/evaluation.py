@@ -1,13 +1,13 @@
 """Evaluation of conjunctive queries: the backend dispatcher.
 
-The actual evaluators live in :mod:`repro.cq.backends` — ``naive``
-(reference enumerator), ``indexed`` (pipelined hash joins), ``bitset``
-(semijoin reduction over integer bitmasks) and ``auto`` (the router:
-α-acyclic queries take the Yannakakis-over-bitsets path, everything else
-the hash joins).  This module is the single entry point that:
+The evaluators live in :mod:`repro.cq.backends` — ``indexed`` (the
+production path: per-atom scans, a Yannakakis semijoin reducer on bodies
+with a join tree, then hash joins that drop dead variables) and
+``naive`` (the reference enumerator).  This module is the single entry
+point that:
 
 * resolves the view scheme and the backend (explicit argument, else the
-  process default — CLI ``--backend`` / ``REPRO_BACKEND`` / ``auto``);
+  process default — CLI ``--backend`` / ``REPRO_BACKEND`` / ``indexed``);
 * memoizes answers per ``(query, instance, view schema, backend)`` —
   the dominance search's gadget refuter applies the same views to the
   same tiny instances for every candidate pair, and the backend name in
@@ -42,12 +42,9 @@ __all__ = [
 
 # Answers are memoized on (query, instance, view schema, backend name)
 # — all immutable value objects.  Instances above the row ceiling bypass
-# the cache (retaining them is too expensive).  The key carries the
-# *requested* backend name, not the routed one: routing is deterministic
-# per query, so the requested name already determines the answer's
-# producer, and a memo hit then skips routing entirely — the E1 gadget
-# refuter replays the same (view, tiny instance) pairs thousands of
-# times, and the hit path must stay a single dict probe.
+# the cache (retaining them is too expensive).  The E1 gadget refuter
+# replays the same (view, tiny instance) pairs thousands of times, and
+# the hit path must stay a single dict probe.
 _EVAL_MEMO = memo.memo("evaluate", maxsize=16384)
 _EVAL_CACHE_MAX_ROWS = 2048
 
@@ -70,11 +67,11 @@ def evaluate(
 ) -> RelationInstance:
     """Evaluate ``query`` over ``instance`` via the selected backend.
 
-    ``backend`` names a registered backend (``auto``, ``naive``,
-    ``indexed``, ``bitset``); ``None`` uses the process default.
-    Routing, the dispatch counter and the per-backend span all live on
-    the memo-miss path: a cache hit is answered before any backend
-    machinery runs, and the trace shows real join work only.
+    ``backend`` names a registered backend (``indexed`` or ``naive``);
+    ``None`` uses the process default.  The backend lookup, the dispatch
+    counter and the per-backend span all live on the memo-miss path: a
+    cache hit is answered before any backend machinery runs, and the
+    trace shows real join work only.
     """
     if view_schema is None:
         view_schema = synthesize_view_schema(query, instance)
@@ -93,9 +90,9 @@ def _evaluate(
     instance: DatabaseInstance,
     view_schema: RelationSchema,
 ) -> RelationInstance:
-    chosen = _backends.get_backend(name).select(query, instance)
-    _dispatch_counter(chosen.name).inc()
-    with _span("evaluate." + chosen.name):
+    chosen = _backends.get_backend(name)
+    _dispatch_counter(name).inc()
+    with _span("evaluate." + name):
         return chosen.evaluate(query, instance, view_schema)
 
 

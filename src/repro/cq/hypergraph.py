@@ -91,10 +91,8 @@ def join_tree(
 
     This is the constructive companion of :func:`is_alpha_acyclic`: GYO
     succeeds on exactly the α-acyclic hypergraphs, so the result is
-    ``None`` iff the hypergraph is cyclic.  It historically lived in
-    :mod:`repro.cq.yannakakis` (which re-exports it); it moved here so the
-    evaluation backends can plan join trees without importing an
-    evaluator.
+    ``None`` iff the hypergraph is cyclic.  The evaluation plans
+    (:mod:`repro.cq.backends.plan`) build their semijoin reducers on it.
     """
     remaining: Dict[int, Set[Variable]] = {
         i: set(vs) for i, vs in enumerate(variable_sets)

@@ -54,7 +54,7 @@ class EngineConfig(NamedTuple):
     """Everything an :class:`Engine` needs to know, in one immutable value.
 
     ``backend=None`` keeps the process default (``$REPRO_BACKEND`` or
-    ``auto``); ``deadline``/``pair_deadline`` are *default* budgets that
+    ``indexed``); ``deadline``/``pair_deadline`` are *default* budgets that
     request-level calls may tighten per request but never exceed;
     ``request_workers`` sizes the thread pool the service runs requests
     on; ``result_cache_path=None`` keeps the result cache in memory only.

@@ -29,30 +29,39 @@ from repro.workloads import (
 
 
 def test_get_backend_by_name():
-    for name in ("naive", "indexed", "bitset", "auto"):
+    assert backends.available_backends() == ("indexed", "naive")
+    for name in ("naive", "indexed"):
         assert backends.get_backend(name).name == name
 
 
 def test_unknown_backend_raises_with_valid_set():
-    with pytest.raises(EvaluationError, match="bitset"):
+    with pytest.raises(EvaluationError, match="indexed, naive"):
         backends.get_backend("vectorwise")
 
 
-def test_default_backend_is_auto(monkeypatch):
+def test_default_backend_is_indexed(monkeypatch):
     # Env-independent: the suite may itself run under REPRO_BACKEND.
     monkeypatch.delenv(backends.ENV_VAR, raising=False)
     monkeypatch.setattr(backends, "_default_name", None)
-    assert backends.default_backend_name() == "auto"
-    assert backends.resolve_backend().name == "auto"
+    assert backends.default_backend_name() == "indexed"
+    assert backends.resolve_backend().name == "indexed"
+
+
+@pytest.mark.parametrize("retired", ["auto", "bitset"])
+def test_retired_backend_names_raise_with_valid_set(monkeypatch, retired):
+    monkeypatch.setenv(backends.ENV_VAR, retired)
+    monkeypatch.setattr(backends, "_default_name", None)
+    with pytest.raises(EvaluationError, match="available: indexed, naive"):
+        backends.default_backend_name()
 
 
 def test_set_default_backend_round_trip():
-    previous = backends.set_default_backend("bitset")
+    previous = backends.set_default_backend("naive")
     try:
-        assert backends.default_backend_name() == "bitset"
-        assert backends.resolve_backend().name == "bitset"
+        assert backends.default_backend_name() == "naive"
+        assert backends.resolve_backend().name == "naive"
         # Per-call override still beats the process default.
-        assert backends.resolve_backend("naive").name == "naive"
+        assert backends.resolve_backend("indexed").name == "indexed"
     finally:
         backends.set_default_backend(previous)
     assert backends.default_backend_name() == previous
@@ -112,13 +121,26 @@ def test_plan_of_inconsistent_query():
     assert compile_plan(q).inconsistent
 
 
-def test_router_cost_estimate_delegates():
-    inst = random_graph_instance(nodes=10, edges=30, seed=0)
-    q = chain_query(2)
-    auto = backends.get_backend("auto")
-    assert auto.cost_estimate(q, inst) == backends.get_backend(
-        "bitset"
-    ).cost_estimate(q, inst)
+def test_plan_drops_dead_variables_after_their_last_use():
+    # Q(x0) :- E(x0, x1), E(x1, x2), E(x2, x0): x1 is dead after the
+    # second step, x2 after the third, so only x0 reaches the head.
+    plan = compile_plan(cycle_query(3))
+    second, third = plan.steps[1], plan.steps[2]
+    assert second.dedupe and third.dedupe
+    assert third.kept_free == ()  # both variables bound: a filter step
+    assert plan.head == ((False, 0),)
+
+
+def test_plan_reducer_links_share_variables():
+    plan = compile_plan(chain_query(4))
+    # Three links, each semijoined up and then down the tree.
+    assert len(plan.reducer) == 6
+    for target, source, target_key, source_key in plan.reducer:
+        target_vars = plan.atoms[target].variables
+        source_vars = plan.atoms[source].variables
+        assert [target_vars[p] for p in target_key] == [
+            source_vars[p] for p in source_key
+        ]
 
 
 # ------------------------------------------------------------ observability
@@ -127,23 +149,13 @@ def test_router_cost_estimate_delegates():
 def test_dispatch_counter_increments():
     inst = random_graph_instance(nodes=6, edges=15, seed=3)
     q = chain_query(2)
-    counter = _metrics.registry().counter("backend.dispatch.bitset")
+    counter = _metrics.registry().counter("backend.dispatch.naive")
     memo.memo("evaluate").clear()  # dispatches count on memo misses only
     before = counter.value
-    evaluate(q, inst, backend="bitset")
+    evaluate(q, inst, backend="naive")
     assert counter.value == before + 1
     # A memo hit answers before any backend machinery runs.
-    evaluate(q, inst, backend="bitset")
-    assert counter.value == before + 1
-
-
-def test_router_dispatch_counts_resolved_backend():
-    inst = random_graph_instance(nodes=6, edges=15, seed=4)
-    q = cycle_query(3)
-    counter = _metrics.registry().counter("backend.dispatch.indexed")
-    memo.memo("evaluate").clear()
-    before = counter.value
-    evaluate(q, inst, backend="auto")  # cyclic → routed to indexed
+    evaluate(q, inst, backend="naive")
     assert counter.value == before + 1
 
 
@@ -154,11 +166,11 @@ def test_evaluate_span_names_resolved_backend():
     tracing.start_trace()
     try:
         memo.memo("evaluate").clear()  # force a real (spanned) evaluation
-        evaluate(q, inst, backend="bitset")
+        evaluate(q, inst, backend="naive")
         names = {record.name for record in tracing.drain()}
     finally:
         tracing.set_enabled(was)
-    assert "evaluate.bitset" in names
+    assert "evaluate.naive" in names
 
 
 def test_memo_keys_separate_backends():
@@ -217,8 +229,8 @@ def test_large_relations_still_use_indexes():
 def test_worker_env_ships_backend_selection():
     from repro.core.search import _worker_env
 
-    previous = backends.set_default_backend("bitset")
+    previous = backends.set_default_backend("naive")
     try:
-        assert _worker_env("proc-test").backend == "bitset"
+        assert _worker_env("proc-test").backend == "naive"
     finally:
         backends.set_default_backend(previous)
