@@ -44,11 +44,12 @@ the profiler ratio at 0.96–1.08 and the telemetry ratio at 0.95–1.06
 The backend subsystem adds two more checks and a record:
 
 * **backend sweep** — the optimized E1 scan is re-timed once per
-  registered evaluation backend (``naive``/``indexed``); every sweep
+  evaluator (``naive``/``indexed``), each patched in as the one backend
+  object ``repro.cq.evaluation.evaluate`` dispatches to; every sweep
   entry must reproduce the reference verdicts
   (``backends.<name>.verdicts_equal``), and any mismatch fails the run.
 * **evaluate phase** — ``evaluate_self_s`` (summed self-time of the
-  ``evaluate.<backend>`` span family) is recorded for the history gate.
+  ``evaluate.*`` span family) is recorded for the history gate.
 * **E6 speedup floor** — the e6_containment speedup must be ≥ 1.0
   (the small-relation scan fast path; best-of extra repeats keeps the
   ~3 ms runs out of noise).  Full mode only.
@@ -79,11 +80,12 @@ import statistics
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 from repro import obs
 from repro.core import theorem13_scan
-from repro.cq import backends as _backends
-from repro.cq import homomorphism
+from repro.cq import evaluation, homomorphism
+from repro.cq.backends import IndexedBackend, NaiveBackend
 from repro.cq.chase import chase_egds, egds_of_schema, satisfies_egds
 from repro.cq.homomorphism import is_contained_in
 from repro.cq.parser import parse_query
@@ -101,9 +103,9 @@ PROFILE_HZ = 97.0
 # the profiler guard.
 TELEMETRY_OVERHEAD_TOLERANCE = 0.05
 
-# Every registered evaluation backend is timed on the E1 scan and must
-# reproduce the reference verdicts exactly.
-BACKEND_SWEEP = ("naive", "indexed")
+# Both evaluators are timed on the E1 scan and must reproduce the
+# reference verdicts exactly.
+BACKEND_SWEEP = (NaiveBackend(), IndexedBackend())
 
 # The E6 containment runs are ~3 ms each; best-of this many extra
 # repeats keeps the speedup assertion out of scheduler-noise territory.
@@ -276,11 +278,11 @@ def _phases(summary) -> dict:
 
 
 def _evaluate_self_s(phases: dict) -> float:
-    """Total self-time of the evaluate phase across all backends.
+    """Total self-time of the evaluate phase.
 
-    The dispatcher names its spans ``evaluate.<backend>`` (the plain
-    ``evaluate`` name covers pre-backend reports), so the E1 "evaluate
-    phase" is the sum over that family.
+    The dispatcher's span is ``evaluate.indexed``; the E1 "evaluate
+    phase" is the sum over the ``evaluate.*`` family (the plain
+    ``evaluate`` name covers older reports).
     """
     return sum(
         row["self_s"]
@@ -310,23 +312,20 @@ def _phase_profile(run, rounds: int = 1) -> dict:
 
 
 def _backend_sweep(run, reference_result, repeats: int) -> dict:
-    """Time the workload once per backend; all must match the reference.
+    """Time the workload once per evaluator; all must match the reference.
 
     Runs with caches/indexes on (the production configuration) so the
-    sweep isolates the backend choice itself.
+    sweep isolates the evaluator itself.  ``_timed`` empties the memo
+    caches before every run, so no answer crosses entries.
     """
     results = {}
-    previous = _backends.set_default_backend("indexed")
-    try:
-        for name in BACKEND_SWEEP:
-            _backends.set_default_backend(name)
+    for backend in BACKEND_SWEEP:
+        with mock.patch.object(evaluation, "_BACKEND", backend):
             result, elapsed = _timed(run, repeats)
-            results[name] = {
-                "optimized_s": round(elapsed, 4),
-                "verdicts_equal": result == reference_result,
-            }
-    finally:
-        _backends.set_default_backend(previous)
+        results[backend.name] = {
+            "optimized_s": round(elapsed, 4),
+            "verdicts_equal": result == reference_result,
+        }
     return results
 
 

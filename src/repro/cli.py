@@ -17,11 +17,6 @@ in the syntax of :mod:`repro.cq.parser`.
 * ``theorem13 [--types T,U] [--max-relations N] [--max-arity N]`` — scan a
   whole keyed-schema universe for Theorem 13's prediction (experiment E1).
 
-``contains``, ``search`` and ``theorem13`` take ``--backend NAME`` to pin
-the conjunctive-query evaluation backend (``indexed``, the default, or the
-``naive`` reference enumerator, see docs/PERFORMANCE.md);
-``$REPRO_BACKEND`` sets the same default from the environment.
-
 ``search`` and ``theorem13`` share the observability flags
 (``docs/OBSERVABILITY.md``): ``--trace FILE.jsonl`` writes a structured
 span/counter/verdict event log, ``--metrics-json FILE`` dumps the metrics
@@ -99,7 +94,6 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
 
 
 def _cmd_contains(args: argparse.Namespace) -> int:
-    _apply_perf_flags(args)
     schema, _ = _load_schema(args.schema)
     q1 = _load_query(args.query1)
     q2 = _load_query(args.query2)
@@ -154,58 +148,17 @@ def _cmd_repair(args: argparse.Namespace) -> int:
 
 
 def _engine_from_args(args: argparse.Namespace):
-    """Build and activate an :class:`repro.engine.Engine` from CLI flags.
-
-    The CLI's toggles stay process-scoped (the process exits right after
-    the command), so the engine is activated but never close()d with
-    toggle restoration — in-process test callers manage toggles
-    themselves, exactly as they did before the engine existed.
-    """
+    """Build an :class:`repro.engine.Engine` from CLI flags."""
     from repro.engine import Engine, EngineConfig
 
     config = EngineConfig(
-        backend=getattr(args, "backend", None),
-        use_cache=not getattr(args, "no_cache", False),
-        use_index=not getattr(args, "no_index", False),
         n_workers=getattr(args, "workers", 1),
         deadline=getattr(args, "deadline", None),
         pair_deadline=getattr(args, "pair_deadline", None),
         retries=getattr(args, "retries", None),
         max_atoms=getattr(args, "max_atoms", 2),
     )
-    return Engine(config).activate()
-
-
-def _apply_perf_flags(args: argparse.Namespace) -> None:
-    """Honour the cache/index/backend toggles shared by several commands.
-
-    Apply-only (never restored): these are one-shot process toggles.
-    Unset flags leave the current process state alone, which in-process
-    callers (the tests) rely on.
-    """
-    if getattr(args, "no_cache", False):
-        from repro.utils import memo
-
-        memo.set_enabled(False)
-    if getattr(args, "no_index", False):
-        from repro.cq.homomorphism import set_indexing
-
-        set_indexing(False)
-    if getattr(args, "backend", None):
-        from repro.cq import backends
-
-        backends.set_default_backend(args.backend)
-
-
-def _add_backend_flag(p: argparse.ArgumentParser) -> None:
-    """The evaluation-backend selector shared by several commands."""
-    p.add_argument(
-        "--backend", choices=("indexed", "naive"),
-        default=None, metavar="NAME",
-        help="evaluation backend: indexed (semijoin-reduced hash joins) "
-        "or naive (the reference enumerator); overrides $REPRO_BACKEND "
-        "(default: indexed)",
-    )
+    return Engine(config)
 
 
 def _add_obs_flags(p: argparse.ArgumentParser) -> None:
@@ -357,16 +310,6 @@ def _hypergraph_census(snapshot) -> dict:
     }
 
 
-def _backend_census(snapshot) -> dict:
-    """Per-backend evaluate dispatch counts for --metrics-json."""
-    prefix = "backend.dispatch."
-    return {
-        name[len(prefix):]: int(value)
-        for name, value in sorted(snapshot.items())
-        if name.startswith(prefix)
-    }
-
-
 def _fabric_census(snapshot) -> dict:
     """Scan-fabric counters (shards leased/stolen, cell dispositions)."""
     prefix = "fabric."
@@ -407,7 +350,6 @@ def _obs_end(
                 - getattr(args, "_pair_timeouts_before", 0)
             ),
             "hypergraph": _hypergraph_census(snapshot),
-            "backends": _backend_census(snapshot),
             "fabric": _fabric_census(snapshot),
         }
         Path(args.metrics_json).write_text(json.dumps(payload, indent=2) + "\n")
@@ -922,9 +864,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import ServiceConfig, serve
 
     engine_config = EngineConfig(
-        backend=args.backend,
-        use_cache=not args.no_cache,
-        use_index=not args.no_index,
         n_workers=args.scan_workers,
         pair_deadline=args.pair_deadline,
         retries=args.retries,
@@ -972,11 +911,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("query1", help="query text or file path")
     p.add_argument("query2", help="query text or file path")
     p.add_argument("--keys", action="store_true", help="relative to key dependencies")
-    p.add_argument("--no-cache", action="store_true", help="disable memo caches")
-    p.add_argument(
-        "--no-index", action="store_true", help="disable indexed homomorphism matching"
-    )
-    _add_backend_flag(p)
     p.set_defaults(fn=_cmd_contains)
 
     p = sub.add_parser("minimize", help="minimise a conjunctive query")
@@ -1011,11 +945,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=1,
         help="shard the candidate pair grid across N worker processes",
     )
-    p.add_argument("--no-cache", action="store_true", help="disable memo caches")
-    p.add_argument(
-        "--no-index", action="store_true", help="disable indexed homomorphism matching"
-    )
-    _add_backend_flag(p)
     _add_obs_flags(p)
     _add_resilience_flags(p)
     p.set_defaults(fn=_cmd_search)
@@ -1041,11 +970,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=1,
         help="distribute scan pairs across N worker processes",
     )
-    p.add_argument("--no-cache", action="store_true", help="disable memo caches")
-    p.add_argument(
-        "--no-index", action="store_true", help="disable indexed homomorphism matching"
-    )
-    _add_backend_flag(p)
     _add_obs_flags(p)
     _add_resilience_flags(p)
     p.add_argument(
@@ -1127,11 +1051,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--retries", type=int, default=None, metavar="N",
         help="process-pool attempts per scan unit (default: 3)",
     )
-    p.add_argument("--no-cache", action="store_true", help="disable memo caches")
-    p.add_argument(
-        "--no-index", action="store_true", help="disable indexed homomorphism matching"
-    )
-    _add_backend_flag(p)
     p.set_defaults(fn=_cmd_serve)
 
     p = sub.add_parser(

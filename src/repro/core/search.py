@@ -50,13 +50,11 @@ from typing import (
 
 # quick_reject is looked up here by perfbench/layers.py, which times it.
 from repro.core.counterexample import GridRefuter, quick_reject  # noqa: F401
-from repro.cq import backends as _backends
 from repro.errors import DeadlineExceeded, MappingError
 from repro.mappings.dominance import DominancePair
 from repro.mappings.identity import composes_to_identity
 from repro.mappings.query_mapping import QueryMapping
 from repro.mappings.validity import is_valid
-from repro.cq.homomorphism import indexing_enabled, set_indexing
 from repro.cq.syntax import Atom, ConjunctiveQuery, Variable
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
@@ -70,7 +68,6 @@ from repro.resilience import deadline as _deadline
 from repro.resilience import faults as _faults
 from repro.resilience.deadline import Deadline
 from repro.resilience.retry import ResilientMapResult, RetryPolicy, resilient_map
-from repro.utils import memo
 from repro.utils.itertools_ext import partitions
 
 
@@ -234,29 +231,26 @@ class DominanceSearchResult(NamedTuple):
 
 
 class _WorkerEnv(NamedTuple):
-    """Parent-side switches and budgets shipped to a worker in its payload.
+    """Parent-side observability switches and budgets for one worker.
 
     Under ``fork`` workers inherit module globals, but under ``spawn``
-    they re-import everything with default settings — so every toggle a
-    worker must respect (tracing, memo caches, index usage) rides in the
-    payload instead of being assumed ambient.  ``attempt`` is the retry
-    round of this payload (deterministic fault rules key on it);
-    ``budget`` is the *remaining* whole-scan seconds at submission time
-    (re-anchored in the worker — perf_counter values don't cross process
-    boundaries); ``pair_budget`` is the per-pair deadline in seconds;
+    they re-import everything with default settings — so whether the
+    parent traces rides in the payload instead of being assumed ambient.
+    ``attempt`` is the retry round of this payload (deterministic fault
+    rules key on it); ``budget`` is the *remaining* whole-scan seconds at
+    submission time (re-anchored in the worker — perf_counter values
+    don't cross process boundaries); ``pair_budget`` is the per-pair
+    deadline in seconds;
     ``profile_hz`` is the parent's sampling-profiler rate (None = not
     profiling), so a profiled run samples its workers too.
     """
 
     proc: str
     trace_on: bool
-    cache_on: bool
-    index_on: bool
     attempt: int = 0
     budget: Optional[float] = None
     pair_budget: Optional[float] = None
     profile_hz: Optional[float] = None
-    backend: str = "indexed"
 
 
 def _worker_env(
@@ -265,17 +259,14 @@ def _worker_env(
     scan_deadline: Optional[Deadline] = None,
     pair_budget: Optional[float] = None,
 ) -> _WorkerEnv:
-    """Capture the parent's current toggles and budgets for one worker."""
+    """Capture the parent's observability switches and budgets for one worker."""
     return _WorkerEnv(
         proc,
         _tracing.tracing_enabled(),
-        memo.caches_enabled(),
-        indexing_enabled(),
         attempt,
         None if scan_deadline is None else scan_deadline.remaining(),
         pair_budget,
         _profiler.profiling_hz(),
-        _backends.default_backend_name(),
     )
 
 
@@ -305,16 +296,13 @@ class _ChunkResult(NamedTuple):
 
 
 def _worker_obs_begin(env: _WorkerEnv) -> _metrics.Snapshot:
-    """Apply the shipped toggles and start worker-side observability.
+    """Start worker-side observability as the shipped env asks.
 
     Workers inherit the parent's counters and switches (fork) or start
-    from cold defaults (spawn); re-applying the env makes both start
-    methods behave identically, and the metrics *delta* across the chunk
-    is what ships back, so the starting point cancels out either way.
+    from cold defaults (spawn); applying the env makes both start methods
+    trace alike, and the metrics *delta* across the chunk is what ships
+    back, so the starting point cancels out either way.
     """
-    memo.set_enabled(env.cache_on)
-    set_indexing(env.index_on)
-    _backends.set_default_backend(env.backend)
     if env.trace_on:
         _tracing.set_enabled(True)
         _tracing.start_trace(proc=env.proc)
@@ -343,6 +331,19 @@ def _worker_obs_end(
     _profiler.stop_profiling()
     samples = _profiler.drain_samples() or None
     return delta, spans, samples
+
+
+def _absorb_worker_obs(result) -> None:
+    """Merge one worker result's metrics delta, spans and samples here.
+
+    The parent-side half of :func:`_worker_obs_end`, for a
+    :class:`_ChunkResult` or a :class:`_CellResult` alike.
+    """
+    _metrics.registry().merge(result.metrics_delta)
+    if result.spans:
+        _tracing.absorb(result.spans)
+    if result.samples:
+        _profiler.absorb_samples(result.samples)
 
 
 def _checked_pair(
@@ -464,7 +465,6 @@ def _run_chunked_scan(
     as ``(done_chunks, total_chunks, proc_label)`` — once up front with
     the checkpoint-replayed count, then per settled chunk.
     """
-    registry = _metrics.registry()
     results: Dict[int, _ChunkResult] = {}
     pending: List[int] = []
     for chunk_id in range(len(chunks)):
@@ -497,11 +497,7 @@ def _run_chunked_scan(
     def on_result(index: int, result: _ChunkResult) -> None:
         chunk_id = pending[index]
         results[chunk_id] = result
-        registry.merge(result.metrics_delta)
-        if result.spans:
-            _tracing.absorb(result.spans)
-        if result.samples:
-            _profiler.absorb_samples(result.samples)
+        _absorb_worker_obs(result)
         if on_progress is not None:
             on_progress(len(results), len(chunks), f"w{chunk_id}")
         if checkpoint is not None and not result.timed_out:
@@ -593,8 +589,9 @@ def search_dominance(
     journals completed chunks for resume.
 
     ``on_progress`` (when given) receives ``(done, total, proc_label)``
-    updates — per chunk on the chunked path, per pair on the sequential
-    one — sized for :class:`repro.obs.progress.ProgressReporter.update`.
+    updates — per chunk on the chunked path; per finished α row and at
+    the witness on the sequential one — sized for
+    :class:`repro.obs.progress.ProgressReporter.update`.
     """
     from repro.core.obstructions import dominance_obstructions
 
@@ -656,6 +653,7 @@ def search_dominance(
                 )
             elif total_pairs > 0:
                 refuter = GridRefuter(alphas, betas)
+                last_beta = len(betas) - 1
                 with _span("search.scan"):
                     if on_progress is not None:
                         on_progress(0, total_pairs, "")
@@ -674,7 +672,9 @@ def search_dominance(
                                 pair_timeouts += 1
                             elif hit:
                                 witness_flat = flat
-                        if on_progress is not None:
+                        if on_progress is not None and (
+                            b == last_beta or witness_flat is not None
+                        ):
                             on_progress(flat + 1, total_pairs, "")
                         if witness_flat is not None:
                             break
@@ -842,17 +842,6 @@ class _CellResult(NamedTuple):
     samples: Optional[Dict[str, int]] = None
 
 
-def _absorb_cell_obs(results: Sequence[_CellResult]) -> None:
-    """Merge worker cell deltas, spans and samples into the parent's state."""
-    registry = _metrics.registry()
-    for result in results:
-        registry.merge(result.metrics_delta)
-        if result.spans:
-            _tracing.absorb(result.spans)
-        if result.samples:
-            _profiler.absorb_samples(result.samples)
-
-
 def _equiv_cell_core(
     s1: DatabaseSchema,
     s2: DatabaseSchema,
@@ -940,7 +929,6 @@ def dominance_matrix(
     matrix: List[List[bool]] = [[False] * n for _ in range(n)]
     cells = [(i, j) for i in range(n) for j in range(n)]
     if n_workers > 1 and len(cells) > 1:
-        registry = _metrics.registry()
 
         def make_payload(index: int, attempt: int):
             i, j = cells[index]
@@ -949,11 +937,7 @@ def dominance_matrix(
                     max_atoms, per_relation_cap, mapping_cap, env)
 
         def on_result(index: int, result: _CellResult) -> None:
-            registry.merge(result.metrics_delta)
-            if result.spans:
-                _tracing.absorb(result.spans)
-            if result.samples:
-                _profiler.absorb_samples(result.samples)
+            _absorb_worker_obs(result)
             matrix[result.i][result.j] = result.found
 
         def inline_cell(payload) -> _CellResult:
@@ -1060,7 +1044,6 @@ def theorem13_scan(
     With a ``checkpoint``, decided (``"ok"``) cells are journaled and
     skipped on resume, so verdicts match the uninterrupted scan's.
     """
-    registry = _metrics.registry()
     scan_dl = _deadline.as_deadline(deadline, label="scan")
     if cells is None:
         keys = [
@@ -1116,11 +1099,7 @@ def theorem13_scan(
                         max_atoms, per_relation_cap, mapping_cap, env)
 
             def on_result(index: int, result: _CellResult) -> None:
-                registry.merge(result.metrics_delta)
-                if result.spans:
-                    _tracing.absorb(result.spans)
-                if result.samples:
-                    _profiler.absorb_samples(result.samples)
+                _absorb_worker_obs(result)
                 settle((result.i, result.j), result.isomorphic,
                        result.found, result.verdict,
                        proc=f"w{result.i}_{result.j}")

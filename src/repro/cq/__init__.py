@@ -34,15 +34,7 @@ from repro.cq.typecheck import (
     is_well_typed,
     typecheck_view,
 )
-from repro.cq.backends import (
-    Backend,
-    available_backends,
-    compile_plan,
-    default_backend_name,
-    get_backend,
-    resolve_backend,
-    set_default_backend,
-)
+from repro.cq.backends import Backend, compile_plan
 from repro.cq.evaluation import evaluate, evaluate_naive, synthesize_view_schema
 from repro.cq.canonical import (
     CanonicalDatabase,
@@ -132,13 +124,8 @@ __all__ = [
     "are_equivalent_under",
     "are_equivalent_under_keys",
     "atom",
-    "available_backends",
     "canonical_database",
     "compile_plan",
-    "default_backend_name",
-    "get_backend",
-    "resolve_backend",
-    "set_default_backend",
     "certain_answers",
     "chase",
     "chase_egds",

@@ -5,9 +5,8 @@ query over a database instance.  All backends implement the same
 contract — :meth:`Backend.evaluate` over an explicit view scheme — and
 are required to produce row-identical answers; they differ only in how
 the work is done (and therefore in constant factors and worst-case
-behaviour).  The registry in :mod:`repro.cq.backends` owns one instance
-of each and the dispatcher in :mod:`repro.cq.evaluation` sends every
-``evaluate`` call through it.
+behaviour).  The dispatcher in :mod:`repro.cq.evaluation` sends every
+``evaluate`` call through one instance of the production backend.
 """
 
 from __future__ import annotations
@@ -44,8 +43,8 @@ class Backend(abc.ABC):
 
     Backends are stateless (all per-query state lives in the shared plan
     cache, all per-instance state on the instance itself), so a single
-    registry instance serves every thread and is safely re-created inside
-    spawned worker processes.
+    instance serves every thread and is safely re-created inside spawned
+    worker processes.
     """
 
     name: str = "abstract"

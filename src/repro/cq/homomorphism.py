@@ -44,8 +44,8 @@ def set_indexing(enabled: bool) -> bool:
     """Globally switch indexed matching on or off; returns the old setting.
 
     With indexing off the matcher scans every row of the atom's relation,
-    reproducing the pre-index implementation — the A/B lever behind
-    ``--no-index`` style experiments and ``benchmarks/bench_perf.py``.
+    reproducing the pre-index implementation — the A/B lever behind the
+    baseline of ``benchmarks/bench_perf.py`` and the unit tests.
     """
     global _use_index_default
     previous = _use_index_default

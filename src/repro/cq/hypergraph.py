@@ -86,8 +86,10 @@ def join_tree(
 
     Returns parent links ``(child, parent)`` (the last surviving atom is
     the root and has no link), or ``None`` when the hypergraph is cyclic.
-    Ears whose remaining vertices vanish entirely (disconnected components)
-    are attached to the last survivor so downstream joins still visit them.
+    An ear that shares no variable with the rest (a cross-product
+    component) links to the first remaining atom, so disconnected bodies
+    get chained links; the semijoin reducer skips any link with no shared
+    column.
 
     This is the constructive companion of :func:`is_alpha_acyclic`: GYO
     succeeds on exactly the α-acyclic hypergraphs, so the result is
@@ -98,7 +100,6 @@ def join_tree(
         i: set(vs) for i, vs in enumerate(variable_sets)
     }
     links: List[Tuple[int, int]] = []
-    orphans: List[int] = []
     while len(remaining) > 1:
         ear_found = False
         for i, edge in list(remaining.items()):
@@ -112,12 +113,6 @@ def join_tree(
                 if j != i and non_exclusive <= other:
                     witness = j
                     break
-            if witness is None and not non_exclusive:
-                # Fully disconnected ear (cross-product component).
-                orphans.append(i)
-                del remaining[i]
-                ear_found = True
-                break
             if witness is not None:
                 links.append((i, witness))
                 del remaining[i]
@@ -125,9 +120,6 @@ def join_tree(
                 break
         if not ear_found:
             return None
-    root = next(iter(remaining))
-    for orphan in orphans:
-        links.append((orphan, root))
     return links
 
 

@@ -1,10 +1,10 @@
-"""Reusable equivalence engine with explicit lifecycle.
+"""Reusable equivalence engine.
 
-The :class:`Engine` packages what used to be CLI plumbing — backend
-selection, memo-cache and index toggles, worker counts, deadlines, and a
-fingerprint-keyed result cache — into one configurable object that the
-CLI, the service (:mod:`repro.service`), tests and notebooks can all
-drive.  See :mod:`repro.engine.core`.
+The :class:`Engine` packages what used to be CLI plumbing — worker
+counts, bounds, deadlines, and a fingerprint-keyed result cache — into
+one configurable object that the CLI, the service
+(:mod:`repro.service`), tests and notebooks can all drive.  See
+:mod:`repro.engine.core`.
 """
 
 from repro.engine.cache import ResultCache, fingerprint_key

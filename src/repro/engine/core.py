@@ -1,12 +1,10 @@
-"""The reusable equivalence engine: explicit lifecycle over the core search.
+"""The reusable equivalence engine: one configured facade over the search.
 
-Historically the toggles (memo caches, indexed matching, evaluation
-backend), budgets and worker counts lived in ``argparse`` namespaces and
-were applied as process-global side effects by each CLI command.  The
-:class:`Engine` packages them into one object with an explicit lifecycle:
+The :class:`Engine` packages budgets, bounds and worker counts into one
+object.  Its settings travel as arguments, never as process globals, so
+engines with different settings can share a process:
 
 * construct with an :class:`EngineConfig`;
-* :meth:`activate` applies the toggles (remembering what they replaced);
 * the low-level methods (:meth:`search_dominance`,
   :meth:`theorem13_scan`, ...) are passthroughs with config defaults —
   the CLI drives these so its output stays byte-identical;
@@ -17,8 +15,8 @@ were applied as process-global side effects by each CLI command.  The
   deterministic JSON-serializable payloads whose ``lines`` are
   byte-identical to the CLI's verdict lines
   (:mod:`repro.engine.report`);
-* :meth:`close` restores the toggles, persists the result cache, and
-  shuts down the request executor.
+* :meth:`close` persists the result cache and shuts down the request
+  executor.
 
 Payload caching is *conclusive-only*: a verdict of ``timeout`` or
 ``unknown`` reflects the budget it ran under, not the question, and is
@@ -53,16 +51,12 @@ _UNSET = object()
 class EngineConfig(NamedTuple):
     """Everything an :class:`Engine` needs to know, in one immutable value.
 
-    ``backend=None`` keeps the process default (``$REPRO_BACKEND`` or
-    ``indexed``); ``deadline``/``pair_deadline`` are *default* budgets that
+    ``deadline``/``pair_deadline`` are *default* budgets that
     request-level calls may tighten per request but never exceed;
     ``request_workers`` sizes the thread pool the service runs requests
     on; ``result_cache_path=None`` keeps the result cache in memory only.
     """
 
-    backend: Optional[str] = None
-    use_cache: bool = True
-    use_index: bool = True
     n_workers: int = 1
     deadline: Optional[float] = None
     pair_deadline: Optional[float] = None
@@ -74,7 +68,7 @@ class EngineConfig(NamedTuple):
 
 
 class Engine:
-    """A configured, activatable facade over the decision machinery."""
+    """A configured facade over the decision machinery."""
 
     def __init__(self, config: EngineConfig = EngineConfig()) -> None:
         self.config = config
@@ -83,59 +77,18 @@ class Engine:
             maxsize=config.result_cache_entries,
         )
         self._executor: Optional[ThreadPoolExecutor] = None
-        self._active = False
-        self._prev_cache: Optional[bool] = None
-        self._prev_index: Optional[bool] = None
-        self._prev_backend: Optional[str] = None
 
     # --------------------------------------------------------------- lifecycle
 
-    def activate(self) -> "Engine":
-        """Apply the config's process-global toggles (idempotent).
-
-        The previous settings are remembered so :meth:`close` can restore
-        them — an engine embedded in a larger process (tests, notebooks,
-        the service) leaves the world as it found it.
-        """
-        if self._active:
-            return self
-        from repro.cq import backends
-        from repro.cq.homomorphism import set_indexing
-        from repro.utils import memo
-
-        self._prev_cache = memo.set_enabled(self.config.use_cache)
-        self._prev_index = set_indexing(self.config.use_index)
-        if self.config.backend is not None:
-            self._prev_backend = backends.set_default_backend(self.config.backend)
-        self._active = True
-        return self
-
-    def close(self, restore_toggles: bool = True) -> None:
-        """Persist the result cache, stop the executor, restore toggles.
-
-        The CLI passes ``restore_toggles=False``: its toggles are
-        process-scoped by long-standing contract (the process exits right
-        after), and in-process test callers manage them explicitly.
-        """
+    def close(self) -> None:
+        """Persist the result cache and stop the request executor."""
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
         self.result_cache.save()
-        if self._active and restore_toggles:
-            from repro.cq import backends
-            from repro.cq.homomorphism import set_indexing
-            from repro.utils import memo
-
-            if self._prev_backend is not None:
-                backends.set_default_backend(self._prev_backend)
-            if self._prev_index is not None:
-                set_indexing(self._prev_index)
-            if self._prev_cache is not None:
-                memo.set_enabled(self._prev_cache)
-        self._active = False
 
     def __enter__(self) -> "Engine":
-        return self.activate()
+        return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()

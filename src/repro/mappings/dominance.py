@@ -92,17 +92,9 @@ class DominancePair:
             self.alpha, self.beta, trials=trials, seed=seed
         )
 
-    def round_trip(
-        self, instance: DatabaseInstance, backend: Optional[str] = None
-    ) -> DatabaseInstance:
-        """β(α(d)) for a concrete instance d.
-
-        ``backend`` selects the evaluation backend for both applications
-        (:mod:`repro.cq.backends`); ``None`` uses the process default.
-        """
-        return self.beta.apply(
-            self.alpha.apply(instance, backend=backend), backend=backend
-        )
+    def round_trip(self, instance: DatabaseInstance) -> DatabaseInstance:
+        """β(α(d)) for a concrete instance d."""
+        return self.beta.apply(self.alpha.apply(instance))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -13,7 +13,7 @@ suite checks by evaluation.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, Mapping, Tuple
 
 from repro.cq.composition import compose_views, identity_view
 from repro.cq.receives import MappingReceives, analyze_views
@@ -87,14 +87,8 @@ class QueryMapping:
 
     # ------------------------------------------------------------ application
 
-    def apply(
-        self, instance: DatabaseInstance, backend: Optional[str] = None
-    ) -> DatabaseInstance:
-        """α(d): evaluate every view over ``instance``.
-
-        ``backend`` selects an evaluation backend by name for every view
-        (:mod:`repro.cq.backends`); ``None`` uses the process default.
-        """
+    def apply(self, instance: DatabaseInstance) -> DatabaseInstance:
+        """α(d): evaluate every view over ``instance``."""
         if instance.schema != self._source:
             raise MappingError(
                 "instance schema does not match the mapping's source schema"
@@ -102,7 +96,7 @@ class QueryMapping:
         return DatabaseInstance(
             self._target,
             {
-                name: view.answer(instance, backend=backend)
+                name: view.answer(instance)
                 for name, view in self._views.items()
             },
         )

@@ -7,8 +7,6 @@ query; the view typechecks q's head against V at construction time.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
-
 from repro.cq.evaluation import evaluate
 from repro.cq.syntax import ConjunctiveQuery
 from repro.cq.typecheck import typecheck_view
@@ -52,15 +50,9 @@ class View:
         """The type of the view = the type of V (paper §2)."""
         return self._relation.type_signature
 
-    def answer(
-        self, instance: DatabaseInstance, backend: Optional[str] = None
-    ) -> RelationInstance:
-        """The answer q(d) for a database instance d.
-
-        ``backend`` selects an evaluation backend by name
-        (:mod:`repro.cq.backends`); ``None`` uses the process default.
-        """
-        return evaluate(self._query, instance, self._relation, backend=backend)
+    def answer(self, instance: DatabaseInstance) -> RelationInstance:
+        """The answer q(d) for a database instance d."""
+        return evaluate(self._query, instance, self._relation)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"View({self._relation!r}, {self._query!r})"

@@ -178,16 +178,6 @@ def _tiles_section(
         tiles.append(
             _tile(f"{100.0 * acyclic / plans:.1f}%", "acyclic plans")
         )
-    dispatched = {
-        name[len("backend.dispatch."):]: value
-        for name, value in snapshot.items()
-        if name.startswith("backend.dispatch.") and value
-    }
-    if dispatched:
-        census = " ".join(
-            f"{name}:{_fmt(value)}" for name, value in sorted(dispatched.items())
-        )
-        tiles.append(_tile(census, "backend dispatches"))
     tiles.extend(_fabric_tiles(snapshot))
     if total_ticks:
         tiles.append(_tile(f"{total_ticks} ({coverage})", "samples (attributed)"))

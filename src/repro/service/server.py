@@ -242,7 +242,6 @@ class ServiceServer:
         payload = {
             "status": "ok",
             "engine": {
-                "backend": self.engine.config.backend or "default",
                 "max_atoms": self.engine.config.max_atoms,
                 "n_workers": self.engine.config.n_workers,
                 "request_workers": self.engine.config.request_workers,
@@ -459,7 +458,7 @@ async def serve(
     SIGTERM and SIGINT both request a graceful stop: in-flight requests
     finish, the result cache is persisted, exit code 0.
     """
-    engine = Engine(engine_config).activate()
+    engine = Engine(engine_config)
     server = ServiceServer(engine, service_config)
     await server.start()
     loop = asyncio.get_running_loop()
@@ -485,9 +484,8 @@ class ServiceThread:
 
     Binds an OS-assigned port by default; :meth:`start` returns once the
     socket accepts connections, :meth:`stop` shuts the loop down and
-    joins the thread.  The engine's lifecycle is owned here: activated on
-    the service thread, closed (toggles restored, cache persisted) at
-    stop.
+    joins the thread.  The engine's lifecycle is owned here: built on the
+    service thread, closed (cache persisted) at stop.
     """
 
     def __init__(

@@ -9,21 +9,21 @@ module provides a small cache layer for them:
   (kept as ``cache.<name>.*`` metrics in :mod:`repro.obs.metrics`);
 * a process-wide named registry (:func:`memo`) so call sites share caches
   and the CLI/benchmarks can inspect or clear all of them at once;
-* a global enable switch (:func:`set_enabled`) so experiments can A/B the
-  cached against the uncached implementation (``repro ... --no-cache``,
-  ``benchmarks/bench_perf.py``) — while disabled, every lookup bypasses
-  storage entirely and counts neither hits nor misses.
+* a global enable switch (:func:`set_enabled`) so the baseline of
+  ``benchmarks/bench_perf.py`` and the unit tests can A/B the cached
+  against the uncached implementation — while disabled, every lookup
+  bypasses storage entirely and counts neither hits nor misses.  Nothing
+  in the library itself flips it: every cached function is pure, so a
+  cache cannot change an answer.
 
 Toggling the switch *flushes* every live cache: entries stored under one
 regime are never served under the other, so an A/B run cannot leak warm
 state from the arm it is supposed to be measuring against.
 
 Caches are per-process.  Under the ``fork`` start method, worker
-processes of the parallel search inherit the parent's warm caches and
-keep their own counters from there; under ``spawn`` they start cold with
-default settings, which is why the search ships its toggles to workers
-explicitly (``_WorkerEnv`` in :mod:`repro.core.search`) instead of
-assuming inheritance.
+processes of the parallel search inherit the parent's warm caches (and
+switch) and keep their own counters from there; under ``spawn`` they
+start cold, with caches enabled.
 
 Caches are also *thread-safe*: the equivalence service
 (:mod:`repro.service`) handles concurrent requests on a thread pool, and
@@ -60,9 +60,7 @@ def set_enabled(enabled: bool) -> bool:
     A state *transition* (on→off or off→on) flushes every live cache:
     whatever was stored under the previous regime is dropped (and counted
     as evictions), so re-enabling never serves entries cached before the
-    bypass window.  Re-asserting the current state is a no-op — in
-    particular, forked workers re-applying an unchanged parent toggle keep
-    their inherited warm caches.
+    bypass window.  Re-asserting the current state is a no-op.
     """
     global _enabled
     with _registry_lock:

@@ -1,18 +1,15 @@
 """Unit tests for the evaluation-backend subsystem itself.
 
 Parity of answers across backends lives in ``test_backend_parity.py``;
-here we pin the registry, default selection, plan compilation and
-caching, dispatch observability, and the small-relation scan fast path.
+here we pin the dispatcher's backend, plan compilation and caching,
+dispatch observability, and the small-relation scan fast path.
 """
 
-import pytest
-
-from repro.cq import backends
+from repro.cq import evaluation
 from repro.cq.backends.plan import compile_plan
 from repro.cq.evaluation import evaluate
 from repro.cq.indexing import SMALL_RELATION_ROWS, counters
 from repro.cq.syntax import Atom, ConjunctiveQuery, Variable
-from repro.errors import EvaluationError
 from repro.obs import metrics as _metrics
 from repro.obs import tracing
 from repro.relational import DatabaseInstance, Value
@@ -25,66 +22,11 @@ from repro.workloads import (
 )
 
 
-# ---------------------------------------------------------------- registry
+# ------------------------------------------------------------------ default
 
 
-def test_get_backend_by_name():
-    assert backends.available_backends() == ("indexed", "naive")
-    for name in ("naive", "indexed"):
-        assert backends.get_backend(name).name == name
-
-
-def test_unknown_backend_raises_with_valid_set():
-    with pytest.raises(EvaluationError, match="indexed, naive"):
-        backends.get_backend("vectorwise")
-
-
-def test_default_backend_is_indexed(monkeypatch):
-    # Env-independent: the suite may itself run under REPRO_BACKEND.
-    monkeypatch.delenv(backends.ENV_VAR, raising=False)
-    monkeypatch.setattr(backends, "_default_name", None)
-    assert backends.default_backend_name() == "indexed"
-    assert backends.resolve_backend().name == "indexed"
-
-
-@pytest.mark.parametrize("retired", ["auto", "bitset"])
-def test_retired_backend_names_raise_with_valid_set(monkeypatch, retired):
-    monkeypatch.setenv(backends.ENV_VAR, retired)
-    monkeypatch.setattr(backends, "_default_name", None)
-    with pytest.raises(EvaluationError, match="available: indexed, naive"):
-        backends.default_backend_name()
-
-
-def test_set_default_backend_round_trip():
-    previous = backends.set_default_backend("naive")
-    try:
-        assert backends.default_backend_name() == "naive"
-        assert backends.resolve_backend().name == "naive"
-        # Per-call override still beats the process default.
-        assert backends.resolve_backend("indexed").name == "indexed"
-    finally:
-        backends.set_default_backend(previous)
-    assert backends.default_backend_name() == previous
-
-
-def test_set_default_backend_validates():
-    before = backends.default_backend_name()
-    with pytest.raises(EvaluationError):
-        backends.set_default_backend("nope")
-    assert backends.default_backend_name() == before
-
-
-def test_env_var_selects_default(monkeypatch):
-    monkeypatch.setenv(backends.ENV_VAR, "indexed")
-    monkeypatch.setattr(backends, "_default_name", None)
-    assert backends.default_backend_name() == "indexed"
-
-
-def test_bad_env_var_raises_at_first_use(monkeypatch):
-    monkeypatch.setenv(backends.ENV_VAR, "warp-drive")
-    monkeypatch.setattr(backends, "_default_name", None)
-    with pytest.raises(EvaluationError, match="warp-drive"):
-        backends.default_backend_name()
+def test_default_backend_is_indexed():
+    assert evaluation._BACKEND.name == "indexed"
 
 
 # -------------------------------------------------------------------- plans
@@ -149,13 +91,13 @@ def test_plan_reducer_links_share_variables():
 def test_dispatch_counter_increments():
     inst = random_graph_instance(nodes=6, edges=15, seed=3)
     q = chain_query(2)
-    counter = _metrics.registry().counter("backend.dispatch.naive")
+    counter = _metrics.registry().counter("backend.dispatch.indexed")
     memo.memo("evaluate").clear()  # dispatches count on memo misses only
     before = counter.value
-    evaluate(q, inst, backend="naive")
+    evaluate(q, inst)
     assert counter.value == before + 1
     # A memo hit answers before any backend machinery runs.
-    evaluate(q, inst, backend="naive")
+    evaluate(q, inst)
     assert counter.value == before + 1
 
 
@@ -166,28 +108,11 @@ def test_evaluate_span_names_resolved_backend():
     tracing.start_trace()
     try:
         memo.memo("evaluate").clear()  # force a real (spanned) evaluation
-        evaluate(q, inst, backend="naive")
+        evaluate(q, inst)
         names = {record.name for record in tracing.drain()}
     finally:
         tracing.set_enabled(was)
-    assert "evaluate.naive" in names
-
-
-def test_memo_keys_separate_backends():
-    inst = random_graph_instance(nodes=6, edges=15, seed=6)
-    q = chain_query(2)
-    cache = memo.memo("evaluate")
-    cache.clear()
-    stats = cache.stats
-    misses = stats.misses
-    evaluate(q, inst, backend="naive")
-    evaluate(q, inst, backend="indexed")
-    # Different backends never share a memo entry...
-    assert stats.misses == misses + 2
-    # ...and a repeat with the same backend hits.
-    hits = stats.hits
-    evaluate(q, inst, backend="naive")
-    assert stats.hits == hits + 1
+    assert "evaluate.indexed" in names
 
 
 # ------------------------------------------------- small-relation fast path
@@ -221,16 +146,3 @@ def test_large_relations_still_use_indexes():
     matches = candidate_rows(relation, [(0, Value("Node", 2))])
     assert set(matches) == {(Value("Node", 2), Value("Node", 3))}
     assert counters.index_builds == builds + 1
-
-
-# ------------------------------------------------------------ worker toggle
-
-
-def test_worker_env_ships_backend_selection():
-    from repro.core.search import _worker_env
-
-    previous = backends.set_default_backend("naive")
-    try:
-        assert _worker_env("proc-test").backend == "naive"
-    finally:
-        backends.set_default_backend(previous)

@@ -6,9 +6,12 @@ from repro.cq.hypergraph import (
     hyperedges,
     is_alpha_acyclic,
     join_graph,
+    join_tree,
+    join_tree_depth,
     query_statistics,
 )
 from repro.cq.parser import parse_query
+from repro.cq.syntax import Variable
 from repro.workloads import chain_query, cycle_query, star_query
 
 
@@ -61,6 +64,14 @@ def test_join_graph_disconnected_product():
     q = parse_query("Q(X, Z) :- R(X, Y), S(Z, W).")
     graph = join_graph(q)
     assert graph.number_of_edges() == 0
+
+
+def test_join_tree_chains_a_cross_product():
+    """Atoms sharing no variable each link to the first remaining atom."""
+    a, b, c, d, e, f = (Variable(name) for name in "abcdef")
+    links = join_tree([frozenset({a, b}), frozenset({c, d}), frozenset({e, f})])
+    assert links == [(0, 1), (1, 2)]
+    assert join_tree_depth(links, 3) == 2
 
 
 def test_query_statistics():

@@ -26,26 +26,6 @@ def engine():
         yield eng
 
 
-def test_lifecycle_restores_toggles():
-    from repro.cq import backends
-    from repro.utils import memo
-
-    assert memo.caches_enabled()
-    before_backend = backends.default_backend_name()
-    eng = Engine(EngineConfig(use_cache=False, backend="naive"))
-    with eng:
-        assert not memo.caches_enabled()
-        assert backends.default_backend_name() == "naive"
-    assert memo.caches_enabled()
-    assert backends.default_backend_name() == before_backend
-
-
-def test_activate_is_idempotent():
-    eng = Engine(EngineConfig())
-    assert eng.activate() is eng.activate()
-    eng.close()
-
-
 def test_equivalence_request_payload(engine):
     payload = engine.equivalence_request(_schema(SCHEMA_A), _schema(SCHEMA_B))
     assert payload["kind"] == "equivalence"
