@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Before/after performance harness for the indexing/memo/parallel layer.
+"""Before/after performance harness for the indexing/memo layer.
 
 Runs the E1 (Theorem 13 scan), E6 (containment scale) and E7 (chase scale)
 workloads twice:
@@ -11,9 +11,10 @@ workloads twice:
 
 Each mode records wall time; the harness asserts that the two modes return
 *identical* verdicts (the same ``ScanRow`` outcomes, containment booleans
-and chase fixpoints), re-runs the E1 scan with ``n_workers=2`` to check
-the parallel path agrees as well, and writes everything to
-``BENCH_perf.json``.
+and chase fixpoints), re-runs the E1 scan as two scan-fabric worker
+processes on one directory plus the journal merge to check the parallel
+path agrees as well (``parallel_verdicts_equal``), and writes everything
+to ``BENCH_perf.json``.
 
 Two observability hooks ride along (PR 3):
 
@@ -75,6 +76,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import platform
 import statistics
 import tempfile
@@ -89,6 +91,7 @@ from repro.cq.backends import IndexedBackend, NaiveBackend
 from repro.cq.chase import chase_egds, egds_of_schema, satisfies_egds
 from repro.cq.homomorphism import is_contained_in
 from repro.cq.parser import parse_query
+from repro.scanfabric import merge_journals, run_fabric_worker
 from repro.utils import memo
 from repro.workloads import cycle_query, edge_schema, enumerate_keyed_schemas
 
@@ -187,7 +190,30 @@ def e1_workload(smoke: bool):
         return theorem13_scan(schemas, max_atoms=max_atoms)
 
     def run_parallel():
-        return theorem13_scan(schemas, max_atoms=max_atoms, n_workers=2)
+        # Two fabric worker processes share one directory (one cell per
+        # shard, so both get work); the merged rows are the scan's result.
+        with tempfile.TemporaryDirectory() as root:
+            spawn = multiprocessing.get_context("spawn")
+            workers = [
+                spawn.Process(
+                    target=run_fabric_worker,
+                    args=(root, schemas),
+                    kwargs={
+                        "max_atoms": max_atoms,
+                        "owner": f"bench-{k}",
+                        "shard_cells": 1,
+                        "telemetry": False,
+                    },
+                )
+                for k in range(2)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join()
+            if any(worker.exitcode != 0 for worker in workers):
+                raise RuntimeError("a fabric worker of the parallel E1 run failed")
+            return merge_journals(root).rows
 
     def run_telemetry(writer):
         def on_progress(done, total, proc):

@@ -23,25 +23,24 @@ span/counter/verdict event log, ``--metrics-json FILE`` dumps the metrics
 registry (plus incident and pair-timeout censuses), and ``--profile``
 prints a per-phase self/cumulative time table.  The consumption half
 adds ``--profile-hz HZ`` (sampling profiler attributing ticks to open
-spans, merged across workers), ``--export-chrome-trace FILE.json``
-(Perfetto-loadable), ``--prometheus-out FILE.prom`` (text exposition),
-``--html-report FILE.html`` (self-contained dashboard), and
-``--progress`` (live rate/ETA/worker-census line on stderr).
+spans), ``--export-chrome-trace FILE.json`` (Perfetto-loadable),
+``--prometheus-out FILE.prom`` (text exposition), ``--html-report
+FILE.html`` (self-contained dashboard), and ``--progress`` (live
+rate/ETA line on stderr).
 
-They also share the resilience flags (``docs/RESILIENCE.md``):
+They also share the deadline flags (``docs/RESILIENCE.md``):
 ``--deadline``/``--pair-deadline`` bound the scan and each exact pair
 check (expired budgets yield explicit ``timeout``/``unknown`` verdicts
-and exit code 3, never a hang), ``--retries`` caps process-pool attempts
-per unit before in-process fallback, and ``--checkpoint FILE`` with
-``--resume`` journals completed units so an interrupted scan continues
-where it stopped.
+and exit code 3, never a hang).  Both commands run in one process.
 
-For grids too big for one process, ``theorem13 --fabric DIR`` joins a
-crash-tolerant sharded scan (``docs/RESILIENCE.md`` §"Sharded scans"):
-any number of workers cooperate on DIR via TTL leases with work
-stealing, pairs isomorphic to an already-planned representative are
-skipped as ``symmetric``, and ``--incremental PRIOR.jsonl`` re-verifies
-only cells whose schemas changed since a prior merged journal.
+``theorem13 --fabric DIR`` is the one way to spread a scan over several
+processes or to resume an interrupted one: it joins a crash-tolerant
+sharded scan (``docs/RESILIENCE.md`` §"Sharded scans") in which any
+number of workers cooperate on DIR via TTL leases with work stealing
+and journal every decided cell durably; rerunning a worker resumes.
+Pairs isomorphic to an already-planned representative are skipped as
+``symmetric``, and ``--incremental PRIOR.jsonl`` re-verifies only cells
+whose schemas changed since a prior merged journal.
 ``merge-journals DIR`` then combines the shard journals into one
 verified report, byte-identical (modulo ``perf:``/``fabric:`` status
 lines) to a single-process run.
@@ -152,10 +151,8 @@ def _engine_from_args(args: argparse.Namespace):
     from repro.engine import Engine, EngineConfig
 
     config = EngineConfig(
-        n_workers=getattr(args, "workers", 1),
         deadline=getattr(args, "deadline", None),
         pair_deadline=getattr(args, "pair_deadline", None),
-        retries=getattr(args, "retries", None),
         max_atoms=getattr(args, "max_atoms", 2),
     )
     return Engine(config)
@@ -178,7 +175,7 @@ def _add_obs_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--profile-hz", type=float, default=None, metavar="HZ",
         help="run the sampling profiler at HZ samples/s and attribute "
-        "ticks to the open span stack (merged across workers)",
+        "ticks to the open span stack",
     )
     p.add_argument(
         "--html-report", metavar="FILE.html",
@@ -197,13 +194,13 @@ def _add_obs_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--progress", action="store_true",
-        help="render a live progress line (rate, ETA, worker census) "
-        "on stderr while the scan runs",
+        help="render a live progress line (rate, ETA) on stderr while "
+        "the scan runs",
     )
 
 
 def _add_resilience_flags(p: argparse.ArgumentParser) -> None:
-    """The deadline/retry/checkpoint flags shared by ``search`` and ``theorem13``."""
+    """The deadline flags shared by ``search`` and ``theorem13``."""
     p.add_argument(
         "--deadline", type=float, metavar="SECONDS",
         help="whole-scan wall-clock budget; on expiry remaining work is "
@@ -212,41 +209,6 @@ def _add_resilience_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--pair-deadline", type=float, metavar="SECONDS",
         help="per-pair exact-check budget; timed-out pairs stay undecided",
-    )
-    p.add_argument(
-        "--retries", type=int, default=None, metavar="N",
-        help="process-pool attempts per unit before in-process fallback "
-        "(default: 3)",
-    )
-    p.add_argument(
-        "--checkpoint", metavar="FILE.jsonl",
-        help="journal completed units to this file as the scan progresses",
-    )
-    p.add_argument(
-        "--resume", action="store_true",
-        help="resume from an existing --checkpoint journal (skip completed "
-        "units); safe when the file does not exist yet",
-    )
-
-
-def _retry_policy(args: argparse.Namespace):
-    from repro.resilience import RetryPolicy
-
-    if getattr(args, "retries", None) is None:
-        return None
-    return RetryPolicy(max_attempts=args.retries)
-
-
-def _open_checkpoint(args: argparse.Namespace, fingerprint: dict):
-    """Open the requested checkpoint journal, or None without --checkpoint."""
-    from repro.resilience import ScanCheckpoint
-
-    if not getattr(args, "checkpoint", None):
-        if getattr(args, "resume", False):
-            raise ReproError("--resume requires --checkpoint FILE")
-        return None
-    return ScanCheckpoint.open(
-        args.checkpoint, fingerprint, resume=args.resume
     )
 
 
@@ -411,51 +373,37 @@ def _progress_reporter(args: argparse.Namespace, label: str):
 
 def _perf_line(
     cache_hits, cache_misses, cache_evictions, rows_probed, backtracks,
-    wall_time, workers,
+    wall_time,
 ) -> str:
     """The registry-rendered one-line perf summary.
 
-    Worker info only appears for genuinely parallel runs; evictions are
-    included so a thrashing cache is visible at a glance.
+    Evictions are included so a thrashing cache is visible at a glance.
     """
-    line = (
+    return (
         f"perf: cache hits={cache_hits}, cache misses={cache_misses}, "
         f"cache evictions={cache_evictions}, rows probed={rows_probed}, "
         f"backtracks={backtracks}, wall time={wall_time:.3f}s"
     )
-    if workers > 1:
-        line += f", workers={workers}"
-    return line
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
     from repro import obs
-    from repro.core.search import scan_fingerprint
     from repro.engine import report as engine_report
 
     engine = _engine_from_args(args)
     _obs_begin(args)
     s1, _ = _load_schema(args.schema1)
     s2, _ = _load_schema(args.schema2)
-    # The chunk layout (and therefore the checkpoint keys) depends on the
-    # worker count, so the fingerprint pins it: resuming a search journal
-    # with a different --workers fails loudly instead of mixing chunks.
-    fingerprint = scan_fingerprint(
-        "search", [s1, s2], args.max_atoms, None, None, n_workers=args.workers
-    )
-    checkpoint = _open_checkpoint(args, fingerprint)
     reporter = _progress_reporter(args, "search")
     try:
         with obs.span("search"):
             result = engine.search_dominance(
-                s1, s2, checkpoint=checkpoint,
+                s1, s2,
                 on_progress=None if reporter is None else reporter.update,
             )
     finally:
         if reporter is not None:
             reporter.finish()
-        if checkpoint is not None:
-            checkpoint.close()
     stats = result.stats
     verdict = engine_report.search_verdict(result)
     print(engine_report.candidates_line(stats))
@@ -463,7 +411,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         _perf_line(
             stats.cache_hits, stats.cache_misses, stats.cache_evictions,
             stats.rows_probed, stats.backtracks, stats.wall_time,
-            args.workers,
         )
     )
     _obs_end(
@@ -559,11 +506,6 @@ def _run_theorem13_fabric(args: argparse.Namespace, schemas, types) -> int:
     from repro import obs
     from repro.scanfabric import run_fabric_worker
 
-    if args.checkpoint or args.resume:
-        raise ReproError(
-            "--fabric keeps its own per-shard journals; "
-            "--checkpoint/--resume do not apply"
-        )
     if args.deadline is not None or args.pair_deadline is not None:
         raise ReproError(
             "--fabric shards must decide every cell; "
@@ -597,8 +539,6 @@ def _run_theorem13_fabric(args: argparse.Namespace, schemas, types) -> int:
                         "max_arity": args.max_arity,
                         "max_atoms": args.max_atoms,
                     },
-                    n_workers=args.workers,
-                    retry_policy=_retry_policy(args),
                     on_progress=None if reporter is None else reporter.update,
                     on_pruned=None if reporter is None else reporter.note_pruned,
                 )
@@ -639,7 +579,6 @@ def _cmd_theorem13(args: argparse.Namespace) -> int:
     import time
 
     from repro import obs
-    from repro.core.search import scan_fingerprint
     from repro.workloads import enumerate_keyed_schemas
 
     engine = _engine_from_args(args)
@@ -658,35 +597,23 @@ def _cmd_theorem13(args: argparse.Namespace) -> int:
         return _run_theorem13_fabric(args, schemas, types)
     if getattr(args, "incremental", None):
         raise ReproError("--incremental requires --fabric DIR")
-    # Cells are independent of the worker count, so --workers is *not*
-    # part of the fingerprint: a scan may resume with more (or fewer)
-    # workers than it started with.
-    fingerprint = scan_fingerprint(
-        "theorem13", schemas, args.max_atoms, None, None
-    )
-    checkpoint = _open_checkpoint(args, fingerprint)
     reporter = _progress_reporter(args, "scan")
     try:
         with obs.span("theorem13"):
             rows = engine.theorem13_scan(
-                schemas, checkpoint=checkpoint,
+                schemas,
                 on_progress=None if reporter is None else reporter.update,
             )
     except KeyboardInterrupt:
-        # The pool is already shut down (resilient_map cancels what it
-        # can); report what completed before re-signalling the exit code.
-        done = len(checkpoint) if checkpoint is not None else 0
         wall = time.perf_counter() - start
-        print(f"interrupted after {wall:.3f}s; {done} cell(s) journaled")
-        if checkpoint is not None:
-            checkpoint.close()
-            print(f"resume with: --checkpoint {args.checkpoint} --resume")
+        print(
+            f"interrupted after {wall:.3f}s; a plain scan keeps no journal — "
+            "run it with --fabric DIR to make it resumable"
+        )
         return 130
     finally:
         if reporter is not None:
             reporter.finish()
-        if checkpoint is not None:
-            checkpoint.close()
     wall = time.perf_counter() - start
     delta = obs.diff(before, obs.registry().snapshot())
     print(
@@ -702,7 +629,7 @@ def _cmd_theorem13(args: argparse.Namespace) -> int:
             int(hits), int(misses), int(evictions),
             int(delta.get("index.rows_probed", 0)),
             int(delta.get("hom.backtracks", 0)),
-            wall, args.workers,
+            wall,
         )
     )
     consistent, decided = _print_scan_conclusion(rows)
@@ -864,9 +791,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import ServiceConfig, serve
 
     engine_config = EngineConfig(
-        n_workers=args.scan_workers,
         pair_deadline=args.pair_deadline,
-        retries=args.retries,
         max_atoms=args.max_atoms,
         request_workers=args.workers,
         result_cache_path=args.cache,
@@ -941,10 +866,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("schema2")
     p.add_argument("--max-atoms", type=int, default=2)
     p.add_argument("--out", help="write witness mappings to this file")
-    p.add_argument(
-        "--workers", type=int, default=1,
-        help="shard the candidate pair grid across N worker processes",
-    )
     _add_obs_flags(p)
     _add_resilience_flags(p)
     p.set_defaults(fn=_cmd_search)
@@ -966,17 +887,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="maximum relation arity (default: 2)",
     )
     p.add_argument("--max-atoms", type=int, default=2)
-    p.add_argument(
-        "--workers", type=int, default=1,
-        help="distribute scan pairs across N worker processes",
-    )
     _add_obs_flags(p)
     _add_resilience_flags(p)
     p.add_argument(
         "--fabric", metavar="DIR",
         help="cooperate on a crash-tolerant sharded scan in DIR: any "
         "number of workers may run this concurrently, claiming shards "
-        "via TTL leases and resuming each other's journals "
+        "via TTL leases and resuming each other's journals; rerun to "
+        "resume, then `repro merge-journals DIR` "
         "(docs/RESILIENCE.md §'Sharded scans')",
     )
     p.add_argument(
@@ -1035,10 +953,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max-atoms", type=int, default=2)
     p.add_argument(
-        "--scan-workers", type=int, default=1, metavar="N",
-        help="worker processes per dominance scan (default: 1)",
-    )
-    p.add_argument(
         "--cache", metavar="FILE.json", default=None,
         help="persist the fingerprint-keyed result cache here "
         "(loaded at startup, saved at shutdown)",
@@ -1046,10 +960,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--cache-entries", type=int, default=1024, metavar="N",
         help="result-cache LRU bound (default: 1024)",
-    )
-    p.add_argument(
-        "--retries", type=int, default=None, metavar="N",
-        help="process-pool attempts per scan unit (default: 3)",
     )
     p.set_defaults(fn=_cmd_serve)
 
@@ -1121,7 +1031,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code.
 
     Exit codes: 0 = positive verdict, 1 = negative verdict,
-    2 = input error (bad schema/query file or checkpoint mismatch),
+    2 = input error (bad schema/query file, or a fabric journal or plan
+    from another scan configuration),
     3 = inconclusive (a --deadline/--pair-deadline budget expired before
     the scan could decide), 130 = interrupted.
     """

@@ -71,8 +71,6 @@ def search_unkeyed_dominance(
     s1: DatabaseSchema,
     s2: DatabaseSchema,
     max_atoms: int = 2,
-    per_relation_cap: Optional[int] = None,
-    mapping_cap: Optional[int] = None,
 ) -> DominanceSearchResult:
     """Bounded exhaustive dominance search for unkeyed schemas.
 
@@ -81,18 +79,8 @@ def search_unkeyed_dominance(
     """
     _require_unkeyed(s1, "schema 1")
     _require_unkeyed(s2, "schema 2")
-    alphas = list(
-        enumerate_mappings(
-            s1, s2, max_atoms=max_atoms,
-            per_relation_cap=per_relation_cap, total_cap=mapping_cap,
-        )
-    )
-    betas = list(
-        enumerate_mappings(
-            s2, s1, max_atoms=max_atoms,
-            per_relation_cap=per_relation_cap, total_cap=mapping_cap,
-        )
-    )
+    alphas = list(enumerate_mappings(s1, s2, max_atoms=max_atoms))
+    betas = list(enumerate_mappings(s2, s1, max_atoms=max_atoms))
     pairs_tried = 0
     exact_checks = 0
     for alpha in alphas:

@@ -23,14 +23,14 @@ Candidate pairs are bulk-rejected by the gadget refuter
 ``quick_reject`` for the whole α×β grid as a join on α's gadget images)
 before the exact chase-based checks run.
 
-Resilience (see ``docs/RESILIENCE.md``): every scan driver here accepts a
-whole-scan ``deadline`` and a per-pair ``pair_deadline`` (cooperative —
-the chase and the matcher poll them), survives worker crashes through
-:func:`repro.resilience.retry.resilient_map`, and can journal completed
-units to a :class:`repro.resilience.checkpoint.ScanCheckpoint` so an
-interrupted scan resumes instead of restarting.  Budget-capped runs
-return *verdicts* (``"ok"`` / ``"timeout"`` / ``"unknown"``) rather than
-hanging or crashing.
+Resilience (see ``docs/RESILIENCE.md``): every driver here accepts a
+whole-search ``deadline`` and a per-pair ``pair_deadline`` (cooperative —
+the chase and the matcher poll them).  Budget-capped runs return
+*verdicts* (``"ok"`` / ``"timeout"`` / ``"unknown"``) rather than hanging
+or crashing.  Every driver is a single-process kernel: a scan spread over
+several processes, or resumed after a crash, runs through the scan
+fabric (:mod:`repro.scanfabric`), which schedules
+:func:`theorem13_cell` itself.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from typing import (
 
 # quick_reject is looked up here by perfbench/layers.py, which times it.
 from repro.core.counterexample import GridRefuter, quick_reject  # noqa: F401
-from repro.errors import DeadlineExceeded, MappingError
+from repro.errors import DeadlineExceeded
 from repro.mappings.dominance import DominancePair
 from repro.mappings.identity import composes_to_identity
 from repro.mappings.query_mapping import QueryMapping
@@ -58,16 +58,10 @@ from repro.mappings.validity import is_valid
 from repro.cq.syntax import Atom, ConjunctiveQuery, Variable
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
-from repro.obs import profiler as _profiler
-from repro.obs import tracing as _tracing
-from repro.obs.tracing import SpanRecord, span as _span
+from repro.obs.tracing import span as _span
 from repro.relational.isomorphism import is_isomorphic
 from repro.relational.schema import DatabaseSchema, RelationSchema
-from repro.resilience import checkpoint as _checkpoint
 from repro.resilience import deadline as _deadline
-from repro.resilience import faults as _faults
-from repro.resilience.deadline import Deadline
-from repro.resilience.retry import ResilientMapResult, RetryPolicy, resilient_map
 from repro.utils.itertools_ext import partitions
 
 
@@ -75,14 +69,12 @@ def enumerate_view_queries(
     source: DatabaseSchema,
     view_relation: RelationSchema,
     max_atoms: int = 2,
-    max_queries: Optional[int] = None,
 ) -> Iterator[ConjunctiveQuery]:
     """All constant-free CQs defining ``view_relation`` over ``source``.
 
     Complete up to variable renaming for bodies of at most ``max_atoms``
-    atoms; truncated at ``max_queries`` when given.
+    atoms.
     """
-    emitted = 0
     head_types = view_relation.type_signature
     relation_names = [r.name for r in source]
     for n_atoms in range(1, max_atoms + 1):
@@ -133,39 +125,28 @@ def enumerate_view_queries(
                 for head_vars in itertools.product(*per_position_choices):
                     head = Atom(view_relation.name, tuple(head_vars))
                     yield ConjunctiveQuery(head, body, equalities)
-                    emitted += 1
-                    if max_queries is not None and emitted >= max_queries:
-                        return
 
 
 def enumerate_mappings(
     source: DatabaseSchema,
     target: DatabaseSchema,
     max_atoms: int = 2,
-    per_relation_cap: Optional[int] = None,
-    total_cap: Optional[int] = None,
 ) -> Iterator[QueryMapping]:
     """All constant-free query mappings source → target within the bounds."""
     per_relation: List[List[ConjunctiveQuery]] = []
     for relation in target:
         candidates = list(
-            enumerate_view_queries(
-                source, relation, max_atoms=max_atoms, max_queries=per_relation_cap
-            )
+            enumerate_view_queries(source, relation, max_atoms=max_atoms)
         )
         if not candidates:
             return
         per_relation.append(candidates)
-    emitted = 0
     for combination in itertools.product(*per_relation):
         queries = {
             relation.name: query
             for relation, query in zip(target.relations, combination)
         }
         yield QueryMapping(source, target, queries)
-        emitted += 1
-        if total_cap is not None and emitted >= total_cap:
-            return
 
 
 class SearchStats(NamedTuple):
@@ -177,10 +158,7 @@ class SearchStats(NamedTuple):
     the registry's delta across the search — memo-cache hits, misses and
     evictions (``cache.*``), candidate rows returned by index probes
     (``index.rows_probed``), matcher backtracks (``hom.backtracks``) —
-    plus wall-clock time in seconds.  In a parallel search
-    (``n_workers > 1``) worker registries ship their deltas back to the
-    parent, which merges them before taking its own delta, so the
-    counters aggregate all processes exactly once.
+    plus wall-clock time in seconds.
 
     ``pair_timeouts`` counts pairs whose exact check was abandoned because
     a per-pair deadline expired; those pairs were *not* decided.
@@ -230,122 +208,6 @@ class DominanceSearchResult(NamedTuple):
         return self.pair is not None
 
 
-class _WorkerEnv(NamedTuple):
-    """Parent-side observability switches and budgets for one worker.
-
-    Under ``fork`` workers inherit module globals, but under ``spawn``
-    they re-import everything with default settings — so whether the
-    parent traces rides in the payload instead of being assumed ambient.
-    ``attempt`` is the retry round of this payload (deterministic fault
-    rules key on it); ``budget`` is the *remaining* whole-scan seconds at
-    submission time (re-anchored in the worker — perf_counter values
-    don't cross process boundaries); ``pair_budget`` is the per-pair
-    deadline in seconds;
-    ``profile_hz`` is the parent's sampling-profiler rate (None = not
-    profiling), so a profiled run samples its workers too.
-    """
-
-    proc: str
-    trace_on: bool
-    attempt: int = 0
-    budget: Optional[float] = None
-    pair_budget: Optional[float] = None
-    profile_hz: Optional[float] = None
-
-
-def _worker_env(
-    proc: str,
-    attempt: int = 0,
-    scan_deadline: Optional[Deadline] = None,
-    pair_budget: Optional[float] = None,
-) -> _WorkerEnv:
-    """Capture the parent's observability switches and budgets for one worker."""
-    return _WorkerEnv(
-        proc,
-        _tracing.tracing_enabled(),
-        attempt,
-        None if scan_deadline is None else scan_deadline.remaining(),
-        pair_budget,
-        _profiler.profiling_hz(),
-    )
-
-
-class _ChunkResult(NamedTuple):
-    """One worker's scan of a contiguous slice of the α×β pair grid.
-
-    ``metrics_delta`` is the worker registry's counter delta across the
-    chunk (a plain name → value dict); ``spans`` carries the worker's
-    finished span records when tracing was on; ``samples`` the worker's
-    profiler sample table (worker-prefixed ``span_id → ticks``) when the
-    run was profiled.  All are primitives-only, so the whole result
-    round-trips through pickle unchanged — the property the
-    parallel-aggregation tests pin down.  ``timed_out`` marks a chunk the
-    whole-scan deadline cut short (its counters cover only the pairs
-    actually scanned).
-    """
-
-    witness_index: Optional[int]
-    pairs_tried: int
-    gadget_rejected: int
-    exact_checks: int
-    metrics_delta: Dict[str, float]
-    spans: Tuple[SpanRecord, ...] = ()
-    pair_timeouts: int = 0
-    timed_out: bool = False
-    samples: Optional[Dict[str, int]] = None
-
-
-def _worker_obs_begin(env: _WorkerEnv) -> _metrics.Snapshot:
-    """Start worker-side observability as the shipped env asks.
-
-    Workers inherit the parent's counters and switches (fork) or start
-    from cold defaults (spawn); applying the env makes both start methods
-    trace alike, and the metrics *delta* across the chunk is what ships
-    back, so the starting point cancels out either way.
-    """
-    if env.trace_on:
-        _tracing.set_enabled(True)
-        _tracing.start_trace(proc=env.proc)
-    if env.profile_hz:
-        # Fork-started workers inherit the parent's sample table; discard
-        # it so the shipped delta covers this worker's ticks only (the
-        # parent keeps its own copy — absorbing an inherited table would
-        # double-count it).
-        _profiler.stop_profiling()
-        _profiler.drain_samples()
-        _profiler.start_profiling(env.profile_hz)
-    return _metrics.registry().snapshot()
-
-
-def _worker_obs_end(
-    before: _metrics.Snapshot, trace_on: bool
-) -> Tuple[Dict[str, float], Tuple[SpanRecord, ...], Optional[Dict[str, int]]]:
-    """Finish worker-side observability: (metrics delta, spans, samples).
-
-    Stopping the profiler is unconditional (a no-op when it never
-    started), so a retried payload whose first attempt crashed mid-chunk
-    cannot leak a sampler thread into the next attempt.
-    """
-    delta = _metrics.diff(before, _metrics.registry().snapshot())
-    spans = tuple(_tracing.drain()) if trace_on else ()
-    _profiler.stop_profiling()
-    samples = _profiler.drain_samples() or None
-    return delta, spans, samples
-
-
-def _absorb_worker_obs(result) -> None:
-    """Merge one worker result's metrics delta, spans and samples here.
-
-    The parent-side half of :func:`_worker_obs_end`, for a
-    :class:`_ChunkResult` or a :class:`_CellResult` alike.
-    """
-    _metrics.registry().merge(result.metrics_delta)
-    if result.spans:
-        _tracing.absorb(result.spans)
-    if result.samples:
-        _profiler.absorb_samples(result.samples)
-
-
 def _checked_pair(
     alpha: QueryMapping, beta: QueryMapping, pair_budget: Optional[float]
 ) -> Tuple[bool, bool]:
@@ -368,197 +230,12 @@ def _checked_pair(
             return False, True
 
 
-def _chunk_scan_core(
-    alphas: Sequence[QueryMapping],
-    betas: Sequence[QueryMapping],
-    start: int,
-    end: int,
-    scan_deadline: Optional[Deadline],
-    pair_budget: Optional[float],
-) -> _ChunkResult:
-    """Scan pairs ``start..end`` (flat α-major indices) for a witness.
-
-    Stops at the chunk's first witness: chunks are contiguous ascending
-    slices, so the minimum reported index across chunks equals the
-    sequential first-witness index, making N-worker results deterministic
-    and identical to the 1-worker scan.  An expired ``scan_deadline``
-    stops the scan and marks the chunk ``timed_out`` (a *foreign* expired
-    deadline — some enclosing scope — propagates untouched).
-    """
-    pairs_tried = 0
-    gadget_rejected = 0
-    exact_checks = 0
-    pair_timeouts = 0
-    witness: Optional[int] = None
-    timed_out = False
-    n_betas = len(betas)
-    refuter = GridRefuter(alphas, betas)
-    with _span("search.scan"), _deadline.deadline_scope(scan_deadline) as scope:
-        try:
-            for flat in range(start, end):
-                _deadline.poll()
-                a, b = divmod(flat, n_betas)
-                pairs_tried += 1
-                if refuter.rejects(a, b):
-                    gadget_rejected += 1
-                    continue
-                exact_checks += 1
-                hit, timed = _checked_pair(alphas[a], betas[b], pair_budget)
-                if timed:
-                    pair_timeouts += 1
-                    continue
-                if hit:
-                    witness = flat
-                    break
-        except DeadlineExceeded as exc:
-            if scope is None or exc.deadline is not scope:
-                raise
-            timed_out = True
-    return _ChunkResult(
-        witness,
-        pairs_tried,
-        gadget_rejected,
-        exact_checks,
-        {},
-        (),
-        pair_timeouts,
-        timed_out,
-    )
-
-
-def _scan_pair_chunk(payload) -> _ChunkResult:
-    """Worker entry: one pair-grid chunk, with observability bracketing.
-
-    Top-level so :class:`ProcessPoolExecutor` can pickle it.  The in-
-    process fallback deliberately does *not* route through here — calling
-    :func:`_worker_obs_begin` in the parent would restart the parent's
-    tracer; the fallback closes over :func:`_chunk_scan_core` directly.
-    """
-    alphas, betas, startpos, end, chunk_id, env = payload
-    before = _worker_obs_begin(env)
-    _faults.fire("search.chunk", key=chunk_id, attempt=env.attempt)
-    scan_dl = None if env.budget is None else Deadline(env.budget, label="scan")
-    core = _chunk_scan_core(alphas, betas, startpos, end, scan_dl, env.pair_budget)
-    delta, spans, samples = _worker_obs_end(before, env.trace_on)
-    return core._replace(metrics_delta=delta, spans=spans, samples=samples)
-
-
-def _run_chunked_scan(
-    alphas: Sequence[QueryMapping],
-    betas: Sequence[QueryMapping],
-    chunks: Sequence[Tuple[int, int]],
-    n_workers: int,
-    scan_deadline: Optional[Deadline],
-    pair_budget: Optional[float],
-    retry_policy: Optional[RetryPolicy],
-    mp_context,
-    checkpoint: Optional[_checkpoint.ScanCheckpoint],
-    checkpoint_key: Tuple[int, ...],
-    on_progress: Optional[Callable[[int, int, str], None]] = None,
-) -> Tuple[Optional[int], int, int, int, int, bool]:
-    """Drive the chunked (pool-backed, recoverable) pair-grid scan.
-
-    Returns ``(witness_flat_index, pairs_tried, gadget_rejected,
-    exact_checks, pair_timeouts, complete)``.  Chunks already present in
-    the checkpoint are not re-run; newly completed (non-timed-out) chunks
-    are journaled as they arrive.  ``on_progress`` (when given) is called
-    as ``(done_chunks, total_chunks, proc_label)`` — once up front with
-    the checkpoint-replayed count, then per settled chunk.
-    """
-    results: Dict[int, _ChunkResult] = {}
-    pending: List[int] = []
-    for chunk_id in range(len(chunks)):
-        recorded = (
-            checkpoint.get(checkpoint_key + (chunk_id,))
-            if checkpoint is not None
-            else None
-        )
-        if recorded is not None:
-            results[chunk_id] = _ChunkResult(
-                recorded.get("witness_index"),
-                recorded.get("pairs_tried", 0),
-                recorded.get("gadget_rejected", 0),
-                recorded.get("exact_checks", 0),
-                {},
-                (),
-                recorded.get("pair_timeouts", 0),
-            )
-        else:
-            pending.append(chunk_id)
-    if on_progress is not None:
-        on_progress(len(results), len(chunks), "")
-
-    def make_payload(index: int, attempt: int):
-        chunk_id = pending[index]
-        chunk_start, chunk_end = chunks[chunk_id]
-        env = _worker_env(f"w{chunk_id}", attempt, scan_deadline, pair_budget)
-        return (alphas, betas, chunk_start, chunk_end, chunk_id, env)
-
-    def on_result(index: int, result: _ChunkResult) -> None:
-        chunk_id = pending[index]
-        results[chunk_id] = result
-        _absorb_worker_obs(result)
-        if on_progress is not None:
-            on_progress(len(results), len(chunks), f"w{chunk_id}")
-        if checkpoint is not None and not result.timed_out:
-            checkpoint.record(
-                checkpoint_key + (chunk_id,),
-                {
-                    "witness_index": result.witness_index,
-                    "pairs_tried": result.pairs_tried,
-                    "gadget_rejected": result.gadget_rejected,
-                    "exact_checks": result.exact_checks,
-                    "pair_timeouts": result.pair_timeouts,
-                },
-            )
-
-    def inline_chunk(payload) -> _ChunkResult:
-        _alphas, _betas, chunk_start, chunk_end, _chunk_id, env = payload
-        return _chunk_scan_core(
-            _alphas, _betas, chunk_start, chunk_end, scan_deadline, env.pair_budget
-        )
-
-    map_result = ResilientMapResult([], ())
-    if pending:
-        map_result = resilient_map(
-            _scan_pair_chunk,
-            len(pending),
-            make_payload,
-            n_workers=min(max(n_workers, 1), len(pending)),
-            policy=retry_policy,
-            mp_context=mp_context,
-            on_result=on_result,
-            deadline=scan_deadline,
-            inline_fn=inline_chunk,
-        )
-    done = list(results.values())
-    witness_indices = [
-        r.witness_index for r in done if r.witness_index is not None
-    ]
-    complete = map_result.complete and not any(r.timed_out for r in done)
-    return (
-        min(witness_indices) if witness_indices else None,
-        sum(r.pairs_tried for r in done),
-        sum(r.gadget_rejected for r in done),
-        sum(r.exact_checks for r in done),
-        sum(r.pair_timeouts for r in done),
-        complete,
-    )
-
-
 def search_dominance(
     s1: DatabaseSchema,
     s2: DatabaseSchema,
     max_atoms: int = 2,
-    per_relation_cap: Optional[int] = None,
-    mapping_cap: Optional[int] = None,
-    n_workers: int = 1,
     deadline: _deadline.DeadlineLike = None,
     pair_deadline: Optional[float] = None,
-    retry_policy: Optional[RetryPolicy] = None,
-    mp_context=None,
-    checkpoint: Optional[_checkpoint.ScanCheckpoint] = None,
-    checkpoint_key: Tuple[int, ...] = (),
     on_progress: Optional[Callable[[int, int, str], None]] = None,
 ) -> DominanceSearchResult:
     """Bounded exhaustive search for a witness of S₁ ⪯ S₂.
@@ -573,24 +250,17 @@ def search_dominance(
     first: when a necessary condition for dominance is already violated,
     the search returns immediately with empty statistics.
 
-    ``n_workers > 1`` shards the α×β pair grid across a recoverable
-    process pool (:func:`repro.resilience.retry.resilient_map`): a crashed
-    worker's chunk is retried and ultimately run in-process, never lost.
-    The returned witness is always the first one in α-major order,
-    identical to the sequential scan; only the effort counters may differ
-    (parallel chunks keep scanning where the sequential loop would have
-    stopped).
+    The pair grid is scanned in α-major order and the search stops at the
+    first witness, so the returned witness is deterministic.
 
     ``deadline`` (seconds or a shared :class:`Deadline`) bounds the whole
     search; on expiry the result reports ``complete=False`` instead of
     raising.  ``pair_deadline`` bounds each exact pair check; timed-out
     pairs are counted in ``stats.pair_timeouts`` and left undecided.
-    ``checkpoint`` (with ``checkpoint_key`` as a namespacing prefix)
-    journals completed chunks for resume.
 
     ``on_progress`` (when given) receives ``(done, total, proc_label)``
-    updates — per chunk on the chunked path; per finished α row and at
-    the witness on the sequential one — sized for
+    pair-count updates — once up front, then per finished α row and at
+    the witness — sized for
     :class:`repro.obs.progress.ProgressReporter.update`.
     """
     from repro.core.obstructions import dominance_obstructions
@@ -619,39 +289,16 @@ def search_dominance(
                     ),
                 )
             with _span("search.enumerate"):
-                for m in enumerate_mappings(
-                    s1, s2, max_atoms=max_atoms,
-                    per_relation_cap=per_relation_cap, total_cap=mapping_cap,
-                ):
+                for m in enumerate_mappings(s1, s2, max_atoms=max_atoms):
                     _deadline.poll()
                     if is_valid(m):
                         alphas.append(m)
-                for m in enumerate_mappings(
-                    s2, s1, max_atoms=max_atoms,
-                    per_relation_cap=per_relation_cap, total_cap=mapping_cap,
-                ):
+                for m in enumerate_mappings(s2, s1, max_atoms=max_atoms):
                     _deadline.poll()
                     if is_valid(m):
                         betas.append(m)
             total_pairs = len(alphas) * len(betas)
-            chunks = _chunk_ranges(total_pairs, max(n_workers, 1))
-            use_chunks = total_pairs > 0 and (
-                (n_workers > 1 and len(chunks) > 1) or checkpoint is not None
-            )
-            if use_chunks:
-                (
-                    witness_flat,
-                    pairs_tried,
-                    gadget_rejected,
-                    exact_checks,
-                    pair_timeouts,
-                    complete,
-                ) = _run_chunked_scan(
-                    alphas, betas, chunks, n_workers, scan_dl, pair_deadline,
-                    retry_policy, mp_context, checkpoint, checkpoint_key,
-                    on_progress,
-                )
-            elif total_pairs > 0:
+            if total_pairs > 0:
                 refuter = GridRefuter(alphas, betas)
                 last_beta = len(betas) - 1
                 with _span("search.scan"):
@@ -715,26 +362,6 @@ def search_dominance(
     )
 
 
-def _chunk_ranges(total: int, n_workers: int) -> List[Tuple[int, int]]:
-    """Split ``range(total)`` into ≤ ``n_workers`` contiguous non-empty slices.
-
-    ``total == 0`` yields no chunks at all (rather than a single empty
-    one), so callers never size a pool off an empty grid; ``n_workers >
-    total`` caps the chunk count at ``total`` so every chunk is non-empty.
-    """
-    if total <= 0:
-        return []
-    n_chunks = max(1, min(n_workers, total))
-    base, remainder = divmod(total, n_chunks)
-    ranges: List[Tuple[int, int]] = []
-    start = 0
-    for i in range(n_chunks):
-        size = base + (1 if i < remainder else 0)
-        ranges.append((start, start + size))
-        start += size
-    return ranges
-
-
 class EquivalenceSearchResult(NamedTuple):
     """Outcome of :func:`search_equivalence`."""
 
@@ -768,38 +395,24 @@ def search_equivalence(
     s1: DatabaseSchema,
     s2: DatabaseSchema,
     max_atoms: int = 2,
-    per_relation_cap: Optional[int] = None,
-    mapping_cap: Optional[int] = None,
-    n_workers: int = 1,
     deadline: _deadline.DeadlineLike = None,
     pair_deadline: Optional[float] = None,
-    retry_policy: Optional[RetryPolicy] = None,
-    mp_context=None,
-    checkpoint: Optional[_checkpoint.ScanCheckpoint] = None,
 ) -> EquivalenceSearchResult:
     """Bounded search for equivalence witnesses in both directions.
 
     The backward search only runs when the forward one succeeds.  Both
-    directions share one ``deadline`` budget; with a ``checkpoint`` the
-    directions journal under distinct key prefixes (0 forward, 1
-    backward).
+    directions share one ``deadline`` budget.
     """
     shared_dl = _deadline.as_deadline(deadline, label="search")
     forward = search_dominance(
         s1, s2, max_atoms=max_atoms,
-        per_relation_cap=per_relation_cap, mapping_cap=mapping_cap,
-        n_workers=n_workers, deadline=shared_dl, pair_deadline=pair_deadline,
-        retry_policy=retry_policy, mp_context=mp_context,
-        checkpoint=checkpoint, checkpoint_key=(0,),
+        deadline=shared_dl, pair_deadline=pair_deadline,
     )
     if not forward.found:
         return EquivalenceSearchResult(forward, None)
     backward = search_dominance(
         s2, s1, max_atoms=max_atoms,
-        per_relation_cap=per_relation_cap, mapping_cap=mapping_cap,
-        n_workers=n_workers, deadline=shared_dl, pair_deadline=pair_deadline,
-        retry_policy=retry_policy, mp_context=mp_context,
-        checkpoint=checkpoint, checkpoint_key=(1,),
+        deadline=shared_dl, pair_deadline=pair_deadline,
     )
     return EquivalenceSearchResult(forward, backward)
 
@@ -829,33 +442,23 @@ class ScanRow(NamedTuple):
         return self.isomorphic == self.equivalence_found
 
 
-class _CellResult(NamedTuple):
-    """One worker's matrix/scan cell plus its observability payload."""
-
-    i: int
-    j: int
-    isomorphic: bool
-    found: bool
-    metrics_delta: Dict[str, float]
-    spans: Tuple[SpanRecord, ...] = ()
-    verdict: str = "ok"
-    samples: Optional[Dict[str, int]] = None
-
-
-def _equiv_cell_core(
+def theorem13_cell(
     s1: DatabaseSchema,
     s2: DatabaseSchema,
-    max_atoms: int,
-    per_relation_cap: Optional[int],
-    mapping_cap: Optional[int],
-    cell_deadline: Optional[Deadline],
-    pair_budget: Optional[float],
+    max_atoms: int = 2,
+    deadline: _deadline.DeadlineLike = None,
+    pair_deadline: Optional[float] = None,
 ) -> Tuple[bool, bool, str]:
-    """One Theorem 13 cell: (isomorphic, equivalence_found, verdict)."""
+    """One Theorem 13 cell: ``(isomorphic, equivalence_found, verdict)``.
+
+    The per-pair unit of :func:`theorem13_scan`, exposed for callers that
+    schedule cells themselves (the scan fabric's shard workers, the
+    symmetry-soundness property tests).
+    """
     result = search_equivalence(
         s1, s2, max_atoms=max_atoms,
-        per_relation_cap=per_relation_cap, mapping_cap=mapping_cap,
-        deadline=cell_deadline, pair_deadline=pair_budget,
+        deadline=_deadline.as_deadline(deadline, label="cell"),
+        pair_deadline=pair_deadline,
     )
     isomorphic = is_isomorphic(s1, s2)
     if not result.complete:
@@ -867,48 +470,9 @@ def _equiv_cell_core(
     return isomorphic, result.found, verdict
 
 
-def theorem13_cell(
-    s1: DatabaseSchema,
-    s2: DatabaseSchema,
-    max_atoms: int = 2,
-    per_relation_cap: Optional[int] = None,
-    mapping_cap: Optional[int] = None,
-    deadline: _deadline.DeadlineLike = None,
-    pair_deadline: Optional[float] = None,
-) -> Tuple[bool, bool, str]:
-    """One Theorem 13 cell, standalone: ``(isomorphic, found, verdict)``.
-
-    Exactly the computation :func:`theorem13_scan` performs per unordered
-    pair, exposed for callers that schedule cells themselves (the scan
-    fabric's shard workers, the symmetry-soundness property tests).
-    """
-    return _equiv_cell_core(
-        s1, s2, max_atoms, per_relation_cap, mapping_cap,
-        _deadline.as_deadline(deadline, label="cell"), pair_deadline,
-    )
-
-
-def _dominance_cell(payload) -> _CellResult:
-    """Worker: one (i, j) cell of the dominance matrix."""
-    i, j, s1, s2, max_atoms, per_relation_cap, mapping_cap, env = payload
-    before = _worker_obs_begin(env)
-    _faults.fire("scan.cell", key=f"{i},{j}", attempt=env.attempt)
-    found = search_dominance(
-        s1, s2, max_atoms=max_atoms,
-        per_relation_cap=per_relation_cap, mapping_cap=mapping_cap,
-    ).found
-    delta, spans, samples = _worker_obs_end(before, env.trace_on)
-    return _CellResult(i, j, False, found, delta, spans, samples=samples)
-
-
 def dominance_matrix(
     schemas: Sequence[DatabaseSchema],
     max_atoms: int = 2,
-    per_relation_cap: Optional[int] = None,
-    mapping_cap: Optional[int] = None,
-    n_workers: int = 1,
-    retry_policy: Optional[RetryPolicy] = None,
-    mp_context=None,
 ) -> List[List[bool]]:
     """The dominance preorder over a schema universe, by bounded search.
 
@@ -919,90 +483,34 @@ def dominance_matrix(
     matrix is reflexive and transitive but not symmetric.  The tests check
     exactly those properties, plus consistency with the isomorphism
     diagonal.
-
-    ``n_workers > 1`` distributes cells across a recoverable process pool;
-    each cell is an independent search, so the matrix is identical either
-    way — including after worker crashes, which are retried and finally
-    run in-process.
     """
-    n = len(schemas)
-    matrix: List[List[bool]] = [[False] * n for _ in range(n)]
-    cells = [(i, j) for i in range(n) for j in range(n)]
-    if n_workers > 1 and len(cells) > 1:
-
-        def make_payload(index: int, attempt: int):
-            i, j = cells[index]
-            env = _worker_env(f"w{i}_{j}", attempt)
-            return (i, j, schemas[i], schemas[j],
-                    max_atoms, per_relation_cap, mapping_cap, env)
-
-        def on_result(index: int, result: _CellResult) -> None:
-            _absorb_worker_obs(result)
-            matrix[result.i][result.j] = result.found
-
-        def inline_cell(payload) -> _CellResult:
-            i, j, s1, s2, atoms, prc, mc, _env = payload
-            found = search_dominance(
-                s1, s2, max_atoms=atoms,
-                per_relation_cap=prc, mapping_cap=mc,
-            ).found
-            return _CellResult(i, j, False, found, {}, ())
-
-        resilient_map(
-            _dominance_cell,
-            len(cells),
-            make_payload,
-            n_workers=min(n_workers, len(cells)),
-            policy=retry_policy,
-            mp_context=mp_context,
-            on_result=on_result,
-            inline_fn=inline_cell,
-        )
-    else:
-        for i, j in cells:
-            matrix[i][j] = search_dominance(
-                schemas[i],
-                schemas[j],
-                max_atoms=max_atoms,
-                per_relation_cap=per_relation_cap,
-                mapping_cap=mapping_cap,
-            ).found
-    return matrix
-
-
-def _scan_cell(payload) -> _CellResult:
-    """Worker: one unordered pair of a Theorem 13 scan."""
-    i, j, s1, s2, max_atoms, per_relation_cap, mapping_cap, env = payload
-    before = _worker_obs_begin(env)
-    _faults.fire("scan.cell", key=f"{i},{j}", attempt=env.attempt)
-    cell_dl = None if env.budget is None else Deadline(env.budget, label="cell")
-    isomorphic, found, verdict = _equiv_cell_core(
-        s1, s2, max_atoms, per_relation_cap, mapping_cap, cell_dl, env.pair_budget
-    )
-    delta, spans, samples = _worker_obs_end(before, env.trace_on)
-    return _CellResult(i, j, isomorphic, found, delta, spans, verdict, samples)
+    return [
+        [search_dominance(s1, s2, max_atoms=max_atoms).found for s2 in schemas]
+        for s1 in schemas
+    ]
 
 
 def scan_fingerprint(
     kind: str,
     schemas: Sequence[DatabaseSchema],
     max_atoms: int,
-    per_relation_cap: Optional[int],
-    mapping_cap: Optional[int],
     **extra,
 ) -> dict:
-    """The checkpoint fingerprint of one scan configuration.
+    """The journal fingerprint of one scan configuration.
 
     Everything that changes which units exist or what their outcomes mean
     belongs here; knobs that only change *how* units execute (deadlines,
-    retry policy, worker count for independent cells) do not.
+    the number of fabric workers) do not.  The two ``*_cap`` keys name
+    enumeration caps that no longer exist; they stay ``null`` so
+    fingerprints — and every plan, journal and result-cache key derived
+    from them — keep their bytes.
     """
     fingerprint = {
         "kind": kind,
         "schemas": [repr(s) for s in schemas],
         "max_atoms": max_atoms,
-        "per_relation_cap": per_relation_cap,
-        "mapping_cap": mapping_cap,
+        "per_relation_cap": None,
+        "mapping_cap": None,
     }
     fingerprint.update(extra)
     return fingerprint
@@ -1011,14 +519,8 @@ def scan_fingerprint(
 def theorem13_scan(
     schemas: Sequence[DatabaseSchema],
     max_atoms: int = 2,
-    per_relation_cap: Optional[int] = None,
-    mapping_cap: Optional[int] = None,
-    n_workers: int = 1,
     deadline: _deadline.DeadlineLike = None,
     pair_deadline: Optional[float] = None,
-    retry_policy: Optional[RetryPolicy] = None,
-    mp_context=None,
-    checkpoint: Optional[_checkpoint.ScanCheckpoint] = None,
     on_progress: Optional[Callable[[int, int, str], None]] = None,
     cells: Optional[Sequence[Tuple[int, int]]] = None,
 ) -> List[ScanRow]:
@@ -1029,20 +531,14 @@ def theorem13_scan(
     ``consistent_with_theorem13``.
 
     ``cells`` restricts the scan to an explicit subset of unordered pairs
-    (each ``(i, j)`` with ``i <= j``), in the given order — this is the
-    shard-aware entry the scan fabric uses: a fabric worker passes one
-    shard's cells plus that shard's journal as ``checkpoint``, and the
+    (each ``(i, j)`` with ``i <= j``), in the given order, and the
     returned rows cover exactly those cells.  Without ``cells`` the full
-    grid is scanned in ``(i, j)``-sorted order as before.
+    grid is scanned in ``(i, j)``-sorted order.
 
-    ``n_workers > 1`` distributes pairs across a recoverable process pool.
-    Rows come back in the same (i, j)-sorted order with the same verdicts
-    as the sequential scan — each pair's search is self-contained, and a
-    crashed worker's cell is retried (finally in-process) rather than
-    lost.  An expired ``deadline`` stops the scan; unfinished cells get
-    explicit ``verdict="timeout"`` rows instead of silently vanishing.
-    With a ``checkpoint``, decided (``"ok"``) cells are journaled and
-    skipped on resume, so verdicts match the uninterrupted scan's.
+    An expired ``deadline`` stops the scan; unfinished cells get explicit
+    ``verdict="timeout"`` rows instead of silently vanishing.
+    ``on_progress`` (when given) is called as ``(done, total, "")`` once
+    up front and then after each settled cell.
     """
     scan_dl = _deadline.as_deadline(deadline, label="scan")
     if cells is None:
@@ -1057,93 +553,20 @@ def theorem13_scan(
                     f"cell ({i}, {j}) is not an unordered pair over "
                     f"{len(schemas)} schema(s)"
                 )
-    rows_by_key: Dict[Tuple[int, int], ScanRow] = {}
-    pending: List[Tuple[int, int]] = []
-    for key in keys:
-        recorded = checkpoint.get(key) if checkpoint is not None else None
-        if recorded is not None:
-            rows_by_key[key] = ScanRow(
-                key[0], key[1],
-                recorded["isomorphic"], recorded["found"],
-                recorded.get("verdict", "ok"),
-            )
-        else:
-            pending.append(key)
-
-    def settle(
-        key: Tuple[int, int],
-        isomorphic: bool,
-        found: bool,
-        verdict: str,
-        proc: str = "",
-    ) -> None:
-        rows_by_key[key] = ScanRow(key[0], key[1], isomorphic, found, verdict)
-        if checkpoint is not None and verdict == "ok":
-            checkpoint.record(
-                key, {"isomorphic": isomorphic, "found": found, "verdict": verdict}
-            )
-        if on_progress is not None:
-            on_progress(len(rows_by_key), len(keys), proc)
-
+    rows: List[ScanRow] = []
     if on_progress is not None:
-        # The first report carries the checkpoint-replayed count so a
-        # progress sink can separate resumed cells from fresh throughput.
-        on_progress(len(rows_by_key), len(keys), "")
-
+        on_progress(0, len(keys), "")
     with _span("theorem13.scan"):
-        if n_workers > 1 and len(pending) > 1:
-            def make_payload(index: int, attempt: int):
-                i, j = pending[index]
-                env = _worker_env(f"w{i}_{j}", attempt, scan_dl, pair_deadline)
-                return (i, j, schemas[i], schemas[j],
-                        max_atoms, per_relation_cap, mapping_cap, env)
-
-            def on_result(index: int, result: _CellResult) -> None:
-                _absorb_worker_obs(result)
-                settle((result.i, result.j), result.isomorphic,
-                       result.found, result.verdict,
-                       proc=f"w{result.i}_{result.j}")
-                # Parent-side hook: lets the fault-injection tests raise a
-                # KeyboardInterrupt between completed cells.
-                _faults.fire("scan.cell.done", key=f"{result.i},{result.j}")
-
-            def inline_cell(payload) -> _CellResult:
-                i, j, s1, s2, atoms, prc, mc, env = payload
-                cell_dl = (
-                    None if env.budget is None
-                    else Deadline(env.budget, label="cell")
-                )
-                isomorphic, found, verdict = _equiv_cell_core(
-                    s1, s2, atoms, prc, mc, cell_dl, env.pair_budget
-                )
-                return _CellResult(i, j, isomorphic, found, {}, (), verdict)
-
-            resilient_map(
-                _scan_cell,
-                len(pending),
-                make_payload,
-                n_workers=min(n_workers, len(pending)),
-                policy=retry_policy,
-                mp_context=mp_context,
-                on_result=on_result,
-                deadline=scan_dl,
-                inline_fn=inline_cell,
+        for i, j in keys:
+            if scan_dl is not None and scan_dl.expired():
+                break  # remaining cells become explicit timeout rows
+            isomorphic, found, verdict = theorem13_cell(
+                schemas[i], schemas[j], max_atoms, scan_dl, pair_deadline
             )
-        else:
-            for key in pending:
-                if scan_dl is not None and scan_dl.expired():
-                    break  # remaining cells become explicit timeout rows
-                i, j = key
-                isomorphic, found, verdict = _equiv_cell_core(
-                    schemas[i], schemas[j],
-                    max_atoms, per_relation_cap, mapping_cap,
-                    scan_dl, pair_deadline,
-                )
-                settle(key, isomorphic, found, verdict)
-        for key in keys:
-            if key not in rows_by_key:
-                _events.record_incident(
-                    _events.timeout_event("scan", i=key[0], j=key[1])
-                )
-                rows_by_key[key] = ScanRow(key[0], key[1], False, False, "timeout")
-    return [rows_by_key[key] for key in keys]
+            rows.append(ScanRow(i, j, isomorphic, found, verdict))
+            if on_progress is not None:
+                on_progress(len(rows), len(keys), "")
+        for i, j in keys[len(rows):]:
+            _events.record_incident(_events.timeout_event("scan", i=i, j=j))
+            rows.append(ScanRow(i, j, False, False, "timeout"))
+    return rows

@@ -1,8 +1,8 @@
 """Reusable equivalence engine.
 
-The :class:`Engine` packages what used to be CLI plumbing — worker
-counts, bounds, deadlines, and a fingerprint-keyed result cache — into
-one configurable object that the CLI, the service
+The :class:`Engine` packages what used to be CLI plumbing — bounds,
+deadlines, the request thread pool and a fingerprint-keyed result
+cache — into one configurable object that the CLI, the service
 (:mod:`repro.service`), tests and notebooks can all drive.  See
 :mod:`repro.engine.core`.
 """

@@ -3,8 +3,8 @@
 The service answers "is this migration lossless?" questions that many
 clients ask identically; a conclusive answer is a pure function of the
 scan configuration, so it is cached under the same canonical fingerprint
-:func:`repro.core.search.scan_fingerprint` already computes for
-checkpoints and the scan fabric's incremental mode.  The fingerprint dict
+:func:`repro.core.search.scan_fingerprint` already computes for the
+scan fabric's journals and its incremental mode.  The fingerprint dict
 is serialized to canonical JSON and hashed (sha256), giving a stable,
 filename-safe key that is identical across processes and restarts.
 

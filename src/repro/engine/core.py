@@ -1,7 +1,7 @@
 """The reusable equivalence engine: one configured facade over the search.
 
-The :class:`Engine` packages budgets, bounds and worker counts into one
-object.  Its settings travel as arguments, never as process globals, so
+The :class:`Engine` packages budgets, bounds and the request pool size
+into one object.  Its settings travel as arguments, never as process globals, so
 engines with different settings can share a process:
 
 * construct with an :class:`EngineConfig`;
@@ -57,10 +57,8 @@ class EngineConfig(NamedTuple):
     on; ``result_cache_path=None`` keeps the result cache in memory only.
     """
 
-    n_workers: int = 1
     deadline: Optional[float] = None
     pair_deadline: Optional[float] = None
-    retries: Optional[int] = None
     max_atoms: int = 2
     request_workers: int = 4
     result_cache_path: Optional[str] = None
@@ -108,14 +106,6 @@ class Engine:
         """The process-wide metrics registry this engine reports into."""
         return _metrics.registry()
 
-    def retry_policy(self):
-        """The configured :class:`RetryPolicy`, or None for the default."""
-        if self.config.retries is None:
-            return None
-        from repro.resilience import RetryPolicy
-
-        return RetryPolicy(max_attempts=self.config.retries)
-
     # ------------------------------------------------- low-level passthroughs
 
     def decide_equivalence(self, s1: DatabaseSchema, s2: DatabaseSchema):
@@ -130,23 +120,18 @@ class Engine:
         deadline: Any = _UNSET,
         pair_deadline: Any = _UNSET,
         on_progress: Optional[Callable] = None,
-        checkpoint=None,
-        n_workers: Optional[int] = None,
     ) -> DominanceSearchResult:
         """Bounded exhaustive dominance search with config defaults."""
         return _search_dominance(
             s1,
             s2,
             max_atoms=self._max_atoms(max_atoms),
-            n_workers=self.config.n_workers if n_workers is None else n_workers,
             deadline=self.config.deadline if deadline is _UNSET else deadline,
             pair_deadline=(
                 self.config.pair_deadline
                 if pair_deadline is _UNSET
                 else pair_deadline
             ),
-            retry_policy=self.retry_policy(),
-            checkpoint=checkpoint,
             on_progress=on_progress,
         )
 
@@ -163,14 +148,12 @@ class Engine:
             s1,
             s2,
             max_atoms=self._max_atoms(max_atoms),
-            n_workers=self.config.n_workers,
             deadline=self.config.deadline if deadline is _UNSET else deadline,
             pair_deadline=(
                 self.config.pair_deadline
                 if pair_deadline is _UNSET
                 else pair_deadline
             ),
-            retry_policy=self.retry_policy(),
         )
 
     def theorem13_scan(
@@ -180,21 +163,17 @@ class Engine:
         deadline: Any = _UNSET,
         pair_deadline: Any = _UNSET,
         on_progress: Optional[Callable] = None,
-        checkpoint=None,
     ):
         """Whole-universe Theorem 13 scan with config defaults."""
         return _theorem13_scan(
             schemas,
             max_atoms=self._max_atoms(max_atoms),
-            n_workers=self.config.n_workers,
             deadline=self.config.deadline if deadline is _UNSET else deadline,
             pair_deadline=(
                 self.config.pair_deadline
                 if pair_deadline is _UNSET
                 else pair_deadline
             ),
-            retry_policy=self.retry_policy(),
-            checkpoint=checkpoint,
             on_progress=on_progress,
         )
 
@@ -207,7 +186,7 @@ class Engine:
         self, s1: DatabaseSchema, s2: DatabaseSchema
     ) -> dict:
         """Theorem 13 equivalence as a deterministic, cacheable payload."""
-        key = fingerprint_key(scan_fingerprint("equiv", [s1, s2], 0, None, None))
+        key = fingerprint_key(scan_fingerprint("equiv", [s1, s2], 0))
         cached = self.result_cache.get(key)
         if cached is not None:
             return cached
@@ -240,7 +219,7 @@ class Engine:
         verdicts are returned but never stored.
         """
         atoms = self._max_atoms(max_atoms)
-        key = fingerprint_key(scan_fingerprint("search", [s1, s2], atoms, None, None))
+        key = fingerprint_key(scan_fingerprint("search", [s1, s2], atoms))
         cached = self.result_cache.get(key)
         if cached is not None:
             return cached
@@ -296,8 +275,7 @@ class Engine:
         """
         key = fingerprint_key(
             scan_fingerprint(
-                "mapping-check", [source, target], 0, None, None,
-                mapping=mapping_text,
+                "mapping-check", [source, target], 0, mapping=mapping_text
             )
         )
         cached = self.result_cache.get(key)

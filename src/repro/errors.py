@@ -94,7 +94,7 @@ class DeadlineExceeded(ReproError):
 
 
 class CheckpointError(ReproError):
-    """A scan checkpoint file is unusable (corrupt, or from another scan)."""
+    """A scan journal is unusable (corrupt, or from another scan)."""
 
 
 class FabricError(ReproError):

@@ -10,7 +10,7 @@ The *production* half collects (see ``docs/OBSERVABILITY.md``):
   :mod:`repro.cq.homomorphism` report into);
 * :mod:`repro.obs.events` — versioned JSONL event schema + emitter;
 * :mod:`repro.obs.profiler` — sampling profiler attributing ticks to the
-  open span stack, sample tables merging across processes like metrics.
+  open span stack.
 
 The *consumption* half renders what was collected:
 
@@ -21,7 +21,7 @@ The *consumption* half renders what was collected:
 * :mod:`repro.obs.dashboard` — a dependency-free self-contained HTML
   report (flamegraph, pair-grid heatmap, tiles, incident timeline);
 * :mod:`repro.obs.progress` — a live terminal progress line (rate, ETA,
-  worker census) fed by the scan drivers' ``on_progress`` callbacks,
+  per-owner census) fed by the scan drivers' ``on_progress`` callbacks,
   plus the self-overwriting multi-line block ``repro top`` renders into.
 
 The *fleet* half watches many collectors at once:
@@ -50,7 +50,6 @@ from repro.obs.metrics import (
 from repro.obs.tracing import (
     SpanRecord,
     Tracer,
-    absorb,
     current_span_id,
     drain,
     elapsed,
@@ -71,7 +70,6 @@ from repro.obs.events import (
     peek_incidents,
     read_trace,
     record_incident,
-    retry_event,
     spans_from_events,
     telemetry_event,
     timeout_event,
@@ -146,7 +144,6 @@ __all__ = [
     "TraceSummary",
     "Tracer",
     "WorkerStatus",
-    "absorb",
     "absorb_samples",
     "cache_totals",
     "chrome_trace",
@@ -174,7 +171,6 @@ __all__ = [
     "render",
     "render_dashboard",
     "render_fleet",
-    "retry_event",
     "samples_by_name",
     "set_enabled",
     "span",

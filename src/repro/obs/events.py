@@ -26,15 +26,15 @@ fields depend on the type:
     and ``"unknown"`` rows).
 
 ``fault``
-    ``{"v": 1, "type": "fault", "site": "scan.cell", "action": "kill",
-    "key": "0,1", "attempt": 0}`` — a deterministic test fault fired
+    ``{"v": 1, "type": "fault", "site": "fabric.cell", "action": "kill",
+    "key": "0", "attempt": 0}`` — a deterministic test fault fired
     (:mod:`repro.resilience.faults`).
 
 ``retry``
     ``{"v": 1, "type": "retry", "index": 3, "attempt": 1, "kind":
-    "crash", "delay": 0.05}`` — the resilient pool re-queued a unit of
-    work after a worker crash (``kind="crash"``), a per-unit exception
-    (``"error"``), or routed it in-process (``"inline"``).
+    "crash", "delay": 0.05}`` — written only by versions that ran scans
+    on a retrying process pool; nothing emits it any more, and the type
+    stays in the schema so their traces still validate.
 
 ``timeout``
     ``{"v": 1, "type": "timeout", "scope": "pair", "i": 0, "j": 1}`` — a
@@ -60,12 +60,11 @@ fields depend on the type:
     stitched Chrome trace can place the transition as an instant event
     on the owner's timeline.
 
-``fault``/``retry``/``timeout`` are *incident* events: the resilience
-layer records them on a process-global buffer as they happen
+``fault``/``timeout`` (and ``lease``) are *incident* events: the
+resilience layer records them on a process-global buffer as they happen
 (:func:`record_incident`), and the CLI drains the buffer into the trace
 (:func:`drain_incidents`).  Incidents recorded inside a worker process
-that crashes die with it; the parent-side retry/timeout record is the
-durable one.
+that crashes die with it.
 
 ``t`` values are process-relative monotonic offsets (see
 :mod:`repro.obs.tracing`); ``proc`` distinguishes worker processes.
@@ -238,28 +237,6 @@ def fault_event(
         event["attempt"] = attempt
     if proc:
         event["proc"] = proc
-    return event
-
-
-def retry_event(
-    index: int,
-    attempt: int,
-    kind: str,
-    delay: Optional[float] = None,
-    error: Optional[str] = None,
-) -> dict:
-    """A ``retry`` event: one unit of work re-queued or routed inline."""
-    event: dict = {
-        "v": SCHEMA_VERSION,
-        "type": "retry",
-        "index": index,
-        "attempt": attempt,
-        "kind": kind,
-    }
-    if delay is not None:
-        event["delay"] = delay
-    if error is not None:
-        event["error"] = error
     return event
 
 

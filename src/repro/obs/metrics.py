@@ -4,9 +4,8 @@ This is the single source of truth for the library's effort accounting.
 The ad-hoc counter objects that grew alongside the performance layer —
 :class:`repro.utils.memo.CacheStats`, :class:`repro.cq.indexing.IndexCounters`,
 :class:`repro.cq.homomorphism.MatchCounters` — are now thin views over
-counters registered here, so one snapshot captures everything and worker
-processes can ship their whole accounting state back to the parent as a
-plain dict.
+counters registered here, so one snapshot captures a process's whole
+accounting state as a plain dict.
 
 Metric kinds
 ------------
@@ -23,7 +22,7 @@ Naming convention: dotted lowercase paths, ``<subsystem>.<metric>`` —
 ``search.pairs_tried``, ``chase.egd_rounds.count``.  The full list lives
 in ``docs/OBSERVABILITY.md``.
 
-Cross-process aggregation is snapshot/delta based and deliberately dumb:
+Aggregation is snapshot/delta based and deliberately dumb:
 
 >>> reg = MetricsRegistry()
 >>> before = reg.snapshot()
@@ -177,8 +176,7 @@ class MetricsRegistry:
     def merge(self, delta: Snapshot) -> None:
         """Add a (possibly foreign) counter delta into this registry.
 
-        Names unseen here are created: a worker may have touched caches
-        the parent never did.
+        Names unseen here are created.
         """
         for name, value in delta.items():
             if value:

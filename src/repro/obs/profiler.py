@@ -3,11 +3,9 @@
 A single daemon thread wakes ``hz`` times per second and asks the tracer
 which spans are currently open (:meth:`repro.obs.tracing.Tracer.open_leaves`);
 each tick increments a counter keyed by the innermost open span's id.
-Because span ids are deterministic and worker-prefixed, the sample table
-is a plain ``span_id → tick count`` dict of primitives that merges across
-processes exactly like a metrics delta: workers ship theirs back with
-their chunk results (:mod:`repro.core.search`) and the parent
-:func:`absorb_samples` them, collision-free.
+The sample table is a plain ``span_id → tick count`` dict of primitives;
+each stopped sampler's ticks are merged into the process-global table
+with :func:`absorb_samples`, which adds like a metrics delta.
 
 Ticks taken while *no* span is open are recorded under :data:`IDLE` —
 they still count toward ``ticks``, so coverage (attributed / total) is
@@ -109,8 +107,7 @@ class SamplingProfiler:
 
 
 # Module-level profiler mirroring the tracing API: one active sampler per
-# process, its samples accumulated in a process-global table that workers
-# drain into their results and the parent absorbs.
+# process, its samples accumulated in a process-global table.
 _profiler: Optional[SamplingProfiler] = None
 _samples: Samples = {}
 
@@ -153,12 +150,8 @@ def drain_samples() -> Samples:
 
 
 def absorb_samples(delta: Mapping[str, int]) -> None:
-    """Merge a (possibly worker-shipped) sample table into this process's.
-
-    Worker span ids are worker-prefixed (``w2:s0003``), so absorbing
-    never collides with parent samples; equal keys (a retried chunk
-    sampled twice) add, exactly like metric deltas.
-    """
+    """Merge a sample table into this process's; equal keys add,
+    exactly like metric deltas."""
     for span_id, count in delta.items():
         if count:
             _samples[span_id] = _samples.get(span_id, 0) + count

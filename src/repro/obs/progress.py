@@ -2,8 +2,9 @@
 
 A :class:`ProgressReporter` is a sink for ``(done, total)`` updates from
 a scan driver (:mod:`repro.core.search` invokes its ``on_progress``
-callback as units settle — pair-grid chunks for a dominance search,
-cells for a Theorem-13 scan).  It renders a single self-overwriting
+callback as units settle — α rows of the pair grid for a dominance
+search, cells for a Theorem-13 scan; a fabric worker reports its
+cells).  It renders a single self-overwriting
 status line (carriage return, no scrollback spam)::
 
     scan 7/45 15.6% | 3.2/s | eta 11.9s | resumed 2 | w0:3 w1:2
@@ -11,7 +12,7 @@ status line (carriage return, no scrollback spam)::
 Properties:
 
 * **Resume-resilient.**  The first reported ``done`` value is the
-  baseline (e.g. cells replayed from a checkpoint journal): rate and ETA
+  baseline (units already finished before this run): rate and ETA
   are computed over units completed *this* run only, so a resumed scan
   shows its true throughput instead of an inflated rate, and the
   ``resumed N`` field makes the replayed portion explicit.
@@ -32,9 +33,9 @@ self-overwriting block of N lines redrawn in place with ANSI cursor
 movement.
 
 Per-unit process labels (the ``proc`` argument) accumulate into a
-per-worker completion census, shown while it stays legible (at most
-:data:`MAX_WORKER_FIELDS` distinct labels) — with chunked scans, where
-each chunk is one worker's share, this is per-worker utilization.
+completion census, shown while it stays legible (at most
+:data:`MAX_WORKER_FIELDS` distinct labels) — a fabric worker labels its
+updates with its owner name.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ class ProgressReporter:
         now = self._clock()
         if self._start is None:
             # The scan drivers report once up front with the units already
-            # replayed from a checkpoint; that first value is the baseline.
+            # finished; that first value is the baseline.
             self._start = now
             self._baseline = done
         self.done = done

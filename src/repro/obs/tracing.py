@@ -24,9 +24,8 @@ Design constraints, in order:
   id counter are shared under a lock (tracing is not a hot path *when
   enabled either* — span open/close is two clock reads and an append).
 * **Process-portable records.**  ``SpanRecord`` is a NamedTuple of
-  primitives, so worker processes pickle their records back to the parent
-  (:mod:`repro.core.search`), which absorbs them with their worker
-  process label intact.
+  primitives, so every fabric worker writes its own trace file and
+  ``repro stitch-traces`` merges them with their process labels intact.
 
 Timestamps are ``time.perf_counter()`` offsets from the tracer's epoch
 (its creation or last :func:`start_trace`), so they are monotonic and
@@ -39,7 +38,7 @@ from __future__ import annotations
 import functools
 import threading
 import time
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 _enabled: bool = False
 
@@ -185,12 +184,6 @@ class Tracer:
             records, self._records = self._records, []
         return records
 
-    def absorb(self, records: Iterable[SpanRecord]) -> None:
-        """Append foreign (e.g. worker-process) span records."""
-        incoming = [SpanRecord(*r) for r in records]
-        with self._lock:
-            self._records.extend(incoming)
-
 
 _tracer = Tracer()
 
@@ -280,11 +273,6 @@ def drain() -> List[SpanRecord]:
 def records() -> List[SpanRecord]:
     """Peek at the global tracer's finished spans."""
     return _tracer.records()
-
-
-def absorb(foreign: Iterable[SpanRecord]) -> None:
-    """Merge worker-process span records into the global tracer."""
-    _tracer.absorb(foreign)
 
 
 def current_span_id() -> Optional[str]:

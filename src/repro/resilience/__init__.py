@@ -1,26 +1,24 @@
-"""Resilience layer: deadlines, crash recovery, checkpoints, fault injection.
+"""Resilience layer: deadlines and fault injection.
 
 Long exhaustive scans (Theorem 13 verification, dominance sweeps) are
-first-class long-running jobs: a hung chase or one OOM-killed worker must
-degrade the run, not destroy it.  Four small modules provide that
-guarantee (see ``docs/RESILIENCE.md``):
+first-class long-running jobs: a hung chase must degrade the run into an
+explicit verdict, not hang it.  Two small modules provide that guarantee
+(see ``docs/RESILIENCE.md``):
 
 * :mod:`repro.resilience.deadline` — cooperative wall-clock budgets with
   nested scopes and a hot-loop :func:`poll` cancellation point;
-* :mod:`repro.resilience.retry` — :func:`resilient_map`, a
-  ``ProcessPoolExecutor`` wrapper that survives ``BrokenProcessPool``,
-  retries with capped exponential backoff, and falls back to in-process
-  execution — never losing a completed result;
-* :mod:`repro.resilience.checkpoint` — append-only JSONL journals so a
-  killed scan resumes from its last completed cell;
 * :mod:`repro.resilience.faults` — deterministic, seeded fault injection
   (kill/raise/delay/interrupt) used by ``tests/resilience``.
+
+Crash recovery and resume belong to the scan fabric
+(:mod:`repro.scanfabric`): its durable per-shard journals and lease
+takeovers are the one way to survive a killed worker or to continue an
+interrupted scan.
 
 Like :mod:`repro.obs`, this package sits below the cq/core layers and
 imports nothing from them, so any module may use it without cycles.
 """
 
-from repro.resilience.checkpoint import CHECKPOINT_VERSION, ScanCheckpoint
 from repro.resilience.deadline import (
     Deadline,
     active_deadlines,
@@ -29,22 +27,16 @@ from repro.resilience.deadline import (
     poll,
 )
 from repro.resilience.faults import FaultPlan, FaultRule, fire, install, rule
-from repro.resilience.retry import ResilientMapResult, RetryPolicy, resilient_map
 
 __all__ = [
-    "CHECKPOINT_VERSION",
     "Deadline",
     "FaultPlan",
     "FaultRule",
-    "ResilientMapResult",
-    "RetryPolicy",
-    "ScanCheckpoint",
     "active_deadlines",
     "as_deadline",
     "deadline_scope",
     "fire",
     "install",
     "poll",
-    "resilient_map",
     "rule",
 ]

@@ -1,7 +1,9 @@
 """Deterministic, seeded fault injection for resilience tests.
 
-Production code calls :func:`fire` at named *sites* (``"search.chunk"``,
-``"scan.cell"``, ``"chase.round"``, ...).  With no plan installed a fire
+Production code calls :func:`fire` at named *sites*: ``chase.round``
+(each chase round), the scan fabric's ``fabric.shard``, ``fabric.cell``
+and ``fabric.lease.heartbeat``, the merge's ``merge.shard`` and
+``merge.record``, and ``telemetry.frame``.  With no plan installed a fire
 is a cached no-op; with a plan, rules decide whether the site kills the
 process, raises, sleeps, or simulates Ctrl-C.  Everything is
 deterministic: rules match on site, stringified key, and attempt number —
@@ -10,17 +12,16 @@ per-rule :class:`random.Random` seeded from the plan seed, so the same
 call sequence always fires the same faults.
 
 Cross-process propagation rides on :data:`ENV_VAR`: :func:`install`
-serialises the plan to JSON in ``os.environ``, which worker processes
-inherit under both ``fork`` and ``spawn`` start methods and lazily decode
-on their first :func:`fire`.  The installing (parent) process is recorded
-in the plan; ``kill`` rules never terminate it — a test that kills the
-driver would prove nothing — and the in-process fallback path skips
-:func:`fire` entirely so an exhausted chunk cannot re-fail forever.
+serialises the plan to JSON in ``os.environ``, which child processes
+(fabric workers started by a test or a shell) inherit and lazily decode
+on their first :func:`fire`.  The installing process is recorded in the
+plan; ``kill`` rules never terminate it — a test that kills the driver
+would prove nothing.
 
 Every fault that fires increments ``resilience.faults_injected`` and
 records a ``fault`` incident event (:mod:`repro.obs.events`); faults fired
 inside a worker that then dies are necessarily lost with it, but their
-effect is visible as the parent's ``resilience.worker_crashes``.
+effect is visible in the fabric's lease steals (``fabric.shards.stolen``).
 """
 
 from __future__ import annotations
@@ -46,10 +47,11 @@ class FaultRule(NamedTuple):
     """One site-matching rule of a fault plan.
 
     ``keys``/``attempts`` of None match everything; keys are compared as
-    strings (callers pass whatever identifies the unit of work — a chunk
-    id, an ``"i,j"`` cell).  ``max_fires`` caps fires *per process*; the
-    attempt filter is the cross-process lever — a rule with
-    ``attempts=(0,)`` kills every first try and spares every retry.
+    strings (callers pass whatever identifies the unit of work — a shard
+    index, an ``"i,j"`` cell).  ``max_fires`` caps fires *per process*; the
+    attempt filter is the cross-process lever — the fabric passes a
+    shard's lease generation, so a rule with ``attempts=(0,)`` kills every
+    first owner and spares every thief.
     """
 
     site: str
@@ -221,9 +223,8 @@ def fire(site: str, key: object = None, attempt: Optional[int] = None) -> None:
     deadline poll right after observes the elapsed time); ``raise`` raises
     :class:`InjectedFault`; ``interrupt`` raises ``KeyboardInterrupt``
     (simulated Ctrl-C); ``kill`` terminates the process with
-    ``os._exit`` — the closest stand-in for an OOM kill, which is exactly
-    what a ``BrokenProcessPool`` looks like from the parent — except in
-    the installing process itself, where it degrades to a no-op.
+    ``os._exit`` — the closest stand-in for an OOM kill — except in the
+    installing process itself, where it degrades to a no-op.
 
     Two fabric-specific actions (see ``docs/RESILIENCE.md`` §"Sharded
     scans"): ``lease_expire`` raises :class:`~repro.errors.LeaseExpired`,

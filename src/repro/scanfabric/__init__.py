@@ -2,10 +2,11 @@
 
 At the next schema-universe bound the finite shadow of Theorem 13
 explodes combinatorially — millions of (S₁, S₂) cells — and a single
-``theorem13_scan`` process owning the whole grid turns every crash, OOM
-or stale checkpoint into a full restart.  This package turns the grid
-into a *shared work queue on a directory* (see ``docs/RESILIENCE.md``
-§"Sharded scans"):
+``theorem13_scan`` process owning the whole grid turns every crash or OOM
+into a full restart.  This package turns the grid into a *shared work
+queue on a directory* (see ``docs/RESILIENCE.md`` §"Sharded scans"), and
+it is the only way to spread a scan over several processes or to resume
+one: ``theorem13_scan`` itself is a single-process kernel.
 
 * :mod:`repro.scanfabric.plan` — deterministic shard planning.  The
   grid is pre-pruned by symmetry reduction (pairs isomorphic to an
@@ -19,13 +20,13 @@ into a *shared work queue on a directory* (see ``docs/RESILIENCE.md``
   heartbeat timestamps and TTLs, so N independent ``repro theorem13
   --fabric DIR`` processes cooperate on one directory; expired leases
   are reclaimed (work stealing from crashed or straggling owners).
-* :mod:`repro.scanfabric.journal` — per-shard, per-owner journal
-  segments in the :mod:`repro.resilience.checkpoint` format (opened
-  ``durable``, i.e. fsync-per-cell); a reclaimed shard is resumed
-  mid-shard from the union of its segments.
+* :mod:`repro.scanfabric.journal` — the journal format (its one encoder
+  and reader) and per-shard, per-owner journal segments, fsynced per
+  cell; a reclaimed shard is resumed mid-shard from the union of its
+  segments.
 * :mod:`repro.scanfabric.worker` — the worker loop: claim a shard,
-  scan its cells through the shard-aware
-  :func:`repro.core.search.theorem13_scan`, heartbeat between cells,
+  decide its cells one by one with
+  :func:`repro.core.search.theorem13_cell`, heartbeat between cells,
   abandon on a lost lease, mark the shard done.
 * :mod:`repro.scanfabric.merge` — combine all segments into one
   fingerprint-verified merged journal and report, tolerating torn tail

@@ -1,4 +1,4 @@
-"""Fabric directory layout and per-shard journal segments.
+"""Fabric directory layout, per-shard journal segments and the journal format.
 
 A fabric directory looks like::
 
@@ -26,6 +26,22 @@ trust every complete line it reads.  A segment consisting of nothing, or
 of a single torn line, is what a worker killed *during journal creation*
 leaves behind; it contains no completed cells and is skipped.  Any other
 malformation is real corruption and raises.
+
+Journal format — segments and ``merged.jsonl`` alike — is one JSON object
+per line, written by :func:`journal_line`::
+
+    {"v": 1, "kind": "header", "fingerprint": {...scan configuration...}}
+    {"v": 1, "kind": "cell", "key": [0, 1], "data": {...unit outcome...}}
+
+The fingerprint is the scan's configuration
+(:func:`repro.core.search.scan_fingerprint`); :func:`read_journal`
+refuses a journal from a different configuration with
+:class:`~repro.errors.CheckpointError` rather than silently mixing
+incompatible verdicts.  A truncated final line (the writer died
+mid-append) is tolerated and dropped; corruption anywhere else is an
+error, and so are duplicate keys with *conflicting* data — two owners of
+a stolen shard may re-record the same cell, but only with the same
+outcome.
 """
 
 from __future__ import annotations
@@ -33,16 +49,139 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.errors import FabricError
-from repro.resilience.checkpoint import read_journal
+from repro.errors import CheckpointError, FabricError
+
+CHECKPOINT_VERSION = 1
 
 Cell = Tuple[int, int]
+Key = Tuple[int, ...]
 
 LEASE_DIR = "leases"
 SHARD_DIR = "shards"
 MERGED_FILENAME = "merged.jsonl"
+
+
+def _as_key(key: Union[int, Sequence[int]]) -> Key:
+    if isinstance(key, int):
+        return (key,)
+    return tuple(int(part) for part in key)
+
+
+def journal_line(kind: str, **fields) -> str:
+    """One encoded journal record: ``header`` (``fingerprint=``) or
+    ``cell`` (``key=``, ``data=``), newline-terminated."""
+    fields.update(v=CHECKPOINT_VERSION, kind=kind)
+    return json.dumps(fields, sort_keys=True) + "\n"
+
+
+def read_journal(
+    path: Union[str, Path],
+    fingerprint: Optional[dict] = None,
+) -> Tuple[dict, Dict[Key, dict]]:
+    """Replay a journal read-only: ``(header_fingerprint, done)``.
+
+    Tolerates a torn final line (the writer died mid-append) and nothing
+    else.  When ``fingerprint`` is given the header must match it.
+    Duplicate keys are allowed only when they carry identical data —
+    conflicting duplicates mean two scans disagreed about the same unit,
+    which no caller can safely resolve.
+    """
+    path = Path(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if not lines:
+        raise CheckpointError(f"{path}: empty checkpoint (no header)")
+    records = []
+    for number, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            records.append(json.loads(line))
+        except json.JSONDecodeError as exc:
+            if number == len(lines):
+                break  # torn final write: the unit never completed
+            raise CheckpointError(
+                f"{path}:{number}: corrupt checkpoint line: {exc}"
+            ) from exc
+    if not records or records[0].get("kind") != "header":
+        raise CheckpointError(f"{path}: missing checkpoint header")
+    header = records[0]
+    if header.get("v") != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"{path}: checkpoint version {header.get('v')!r} "
+            f"(expected {CHECKPOINT_VERSION})"
+        )
+    if fingerprint is not None and header.get("fingerprint") != fingerprint:
+        raise CheckpointError(
+            f"{path}: checkpoint belongs to a different scan configuration; "
+            "refusing to resume (delete the file or match the original flags)"
+        )
+    done: Dict[Key, dict] = {}
+    for record in records[1:]:
+        if record.get("kind") != "cell" or "key" not in record:
+            raise CheckpointError(
+                f"{path}: unexpected checkpoint record {record!r}"
+            )
+        key = _as_key(record["key"])
+        data = record.get("data", {})
+        if key in done and done[key] != data:
+            raise CheckpointError(
+                f"{path}: conflicting records for unit {list(key)}: "
+                f"{done[key]!r} vs {data!r}"
+            )
+        done[key] = data
+    return header.get("fingerprint", {}), done
+
+
+class ScanCheckpoint:
+    """A fresh, durable journal segment: one fsynced line per completed unit.
+
+    Every record — the header included — is flushed and ``fsync``\\ ed
+    before :meth:`record` returns, so a completed unit survives even a
+    power-loss-style kill that tears a whole page of buffered writes, not
+    just the final line.  A lease takeover *trusts* the previous owner's
+    segment, which is why there is no cheaper mode.
+    """
+
+    def __init__(self, path: Union[str, Path], fingerprint: dict) -> None:
+        self.path = Path(path)
+        self._recorded: Set[Key] = set()
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._handle = self.path.open("w", encoding="utf-8")
+        try:
+            self._append(journal_line("header", fingerprint=fingerprint))
+        except BaseException:
+            self._handle.close()
+            raise
+
+    @classmethod
+    def open(cls, path: Union[str, Path], fingerprint: dict) -> "ScanCheckpoint":
+        """Start a segment at ``path``, truncating any existing file."""
+        return cls(path, fingerprint)
+
+    def _append(self, line: str) -> None:
+        self._handle.write(line)
+        self._handle.flush()
+        os.fsync(self._handle.fileno())
+
+    def record(self, key: Union[int, Sequence[int]], data: dict) -> None:
+        """Journal one completed unit; a key already recorded is ignored."""
+        normalised = _as_key(key)
+        if normalised in self._recorded:
+            return
+        self._recorded.add(normalised)
+        self._append(journal_line("cell", key=list(normalised), data=data))
+
+    def close(self) -> None:
+        """Close the journal handle (recorded units stay on disk)."""
+        self._handle.close()
+
+    def __enter__(self) -> "ScanCheckpoint":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
 
 
 def _shard_stem(shard_index: int) -> str:
@@ -115,7 +254,7 @@ def _read_segment(path: Path, fingerprint: dict) -> Optional[Dict[Cell, dict]]:
     A worker killed between creating the file and fsyncing the header
     leaves an empty file or a single torn line; either way no cell was
     recorded, so the segment is skippable.  Everything else goes through
-    the strict :func:`~repro.resilience.checkpoint.read_journal`.
+    the strict :func:`read_journal`.
     """
     raw = path.read_text(encoding="utf-8")
     lines = raw.splitlines()

@@ -11,14 +11,13 @@ cells from the plan, and emit
   ``theorem13_scan`` over the same universe would report (provenance
   never changes an outcome, only explains where it came from);
 * ``merged.jsonl`` — a fingerprint-verified journal of the whole grid in
-  the standard checkpoint format, written to a temp file and published
-  by ``os.replace``.  A merge process killed mid-write (the
+  the journal format of :mod:`repro.scanfabric.journal`, written to a
+  temp file and published by ``os.replace``.  A merge process killed mid-write (the
   ``kill_merge`` fault drill) leaves at worst a stale temp file; the
   previous ``merged.jsonl``, if any, is intact, and re-running the merge
   produces the identical file.  The merged journal's fingerprint is the
-  *plain* scan fingerprint, so it doubles as (a) the ``--incremental``
-  prior of the next fabric run and (b) a ``--checkpoint``/``--resume``
-  file for a plain single-process scan.
+  *plain* scan fingerprint, so it doubles as the ``--incremental`` prior
+  of the next fabric run.
 
 Cell data in ``merged.jsonl`` carries a ``provenance`` mark —
 ``scanned``, ``symmetric`` (plus ``symmetric_to: [i, j]``) or
@@ -27,7 +26,6 @@ Cell data in ``merged.jsonl`` carries a ``provenance`` mark —
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
@@ -36,7 +34,6 @@ from repro.core.search import ScanRow
 from repro.errors import FabricError
 from repro.obs import metrics as _metrics
 from repro.resilience import faults as _faults
-from repro.resilience.checkpoint import CHECKPOINT_VERSION
 from repro.scanfabric import journal as _journal
 from repro.scanfabric.plan import FabricPlan, load_plan
 
@@ -166,8 +163,9 @@ def write_merged(
 ) -> Path:
     """Publish the merged journal atomically (default ``ROOT/merged.jsonl``).
 
-    The file is a standard checkpoint journal (header + cell lines, in
-    grid order) whose cell data additionally carries provenance marks.
+    The file is a standard journal (header + cell lines, in grid order,
+    encoded by :func:`~repro.scanfabric.journal.journal_line`) whose cell
+    data additionally carries provenance marks.
     Everything is written and fsynced to a temp file first; ``os.replace``
     makes the publish all-or-nothing, so a crash mid-merge can never
     leave a half-written ``merged.jsonl`` behind.
@@ -179,15 +177,7 @@ def write_merged(
     plan = result.plan
     with tmp.open("w", encoding="utf-8") as handle:
         handle.write(
-            json.dumps(
-                {
-                    "v": CHECKPOINT_VERSION,
-                    "kind": "header",
-                    "fingerprint": plan.scan_fingerprint,
-                },
-                sort_keys=True,
-            )
-            + "\n"
+            _journal.journal_line("header", fingerprint=plan.scan_fingerprint)
         )
         for row in result.rows:
             cell = (row.index1, row.index2)
@@ -198,18 +188,7 @@ def write_merged(
                 "verdict": row.verdict,
             }
             data.update(result.provenance[cell])
-            handle.write(
-                json.dumps(
-                    {
-                        "v": CHECKPOINT_VERSION,
-                        "kind": "cell",
-                        "key": list(cell),
-                        "data": data,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            handle.write(_journal.journal_line("cell", key=list(cell), data=data))
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, target)

@@ -39,7 +39,7 @@ from repro.errors import FabricError
 from repro.obs import metrics as _metrics
 from repro.relational.isomorphism import canonical_form
 from repro.relational.schema import DatabaseSchema
-from repro.resilience.checkpoint import read_journal
+from repro.scanfabric.journal import read_journal
 
 PLAN_VERSION = 1
 PLAN_FILENAME = "plan.json"
@@ -56,7 +56,7 @@ class FabricPlan(NamedTuple):
     worker must reproduce; ``scan_fingerprint`` is the plain
     :func:`~repro.core.search.scan_fingerprint` shared with shard
     journals and the merged journal, so a merged journal is a valid
-    ``--checkpoint`` file for a plain single-process scan.
+    ``--incremental`` prior for the next fabric run.
     """
 
     fingerprint: dict
@@ -127,7 +127,7 @@ def _check_prior_compatible(prior_fp: dict, scan_fp: dict, prior: Path) -> None:
     but verdict-changing knobs may not: a cell decided under different
     search bounds is not the same cell.
     """
-    for knob in ("kind", "max_atoms", "per_relation_cap", "mapping_cap"):
+    for knob in ("kind", "max_atoms"):
         if prior_fp.get(knob) != scan_fp.get(knob):
             raise FabricError(
                 f"{prior}: prior journal has {knob}={prior_fp.get(knob)!r}, "
@@ -139,8 +139,6 @@ def _check_prior_compatible(prior_fp: dict, scan_fp: dict, prior: Path) -> None:
 def plan_fingerprint(
     schemas: Sequence[DatabaseSchema],
     max_atoms: int = 2,
-    per_relation_cap: Optional[int] = None,
-    mapping_cap: Optional[int] = None,
     shard_cells: int = DEFAULT_SHARD_CELLS,
     symmetry: bool = True,
     prior: Optional[Union[str, Path]] = None,
@@ -151,9 +149,7 @@ def plan_fingerprint(
     pointing ``--incremental`` at different files (or a mutated file)
     disagree loudly instead of carrying different cells forward.
     """
-    fingerprint = scan_fingerprint(
-        "theorem13", schemas, max_atoms, per_relation_cap, mapping_cap
-    )
+    fingerprint = scan_fingerprint("theorem13", schemas, max_atoms)
     fingerprint["fabric"] = {
         "v": PLAN_VERSION,
         "shard_cells": int(shard_cells),
@@ -166,8 +162,6 @@ def plan_fingerprint(
 def build_plan(
     schemas: Sequence[DatabaseSchema],
     max_atoms: int = 2,
-    per_relation_cap: Optional[int] = None,
-    mapping_cap: Optional[int] = None,
     shard_cells: int = DEFAULT_SHARD_CELLS,
     symmetry: bool = True,
     prior: Optional[Union[str, Path]] = None,
@@ -182,14 +176,10 @@ def build_plan(
     """
     if shard_cells < 1:
         raise FabricError(f"shard_cells must be >= 1 (got {shard_cells})")
-    scan_fp = scan_fingerprint(
-        "theorem13", schemas, max_atoms, per_relation_cap, mapping_cap
-    )
+    scan_fp = scan_fingerprint("theorem13", schemas, max_atoms)
     plan_fp = plan_fingerprint(
         schemas,
         max_atoms=max_atoms,
-        per_relation_cap=per_relation_cap,
-        mapping_cap=mapping_cap,
         shard_cells=shard_cells,
         symmetry=symmetry,
         prior=prior,
@@ -336,8 +326,6 @@ def ensure_plan(
     root: Union[str, Path],
     schemas: Sequence[DatabaseSchema],
     max_atoms: int = 2,
-    per_relation_cap: Optional[int] = None,
-    mapping_cap: Optional[int] = None,
     shard_cells: int = DEFAULT_SHARD_CELLS,
     symmetry: bool = True,
     prior: Optional[Union[str, Path]] = None,
@@ -356,8 +344,6 @@ def ensure_plan(
     expected = plan_fingerprint(
         schemas,
         max_atoms=max_atoms,
-        per_relation_cap=per_relation_cap,
-        mapping_cap=mapping_cap,
         shard_cells=shard_cells,
         symmetry=symmetry,
         prior=prior,
@@ -374,8 +360,6 @@ def ensure_plan(
     plan = build_plan(
         schemas,
         max_atoms=max_atoms,
-        per_relation_cap=per_relation_cap,
-        mapping_cap=mapping_cap,
         shard_cells=shard_cells,
         symmetry=symmetry,
         prior=prior,

@@ -4,9 +4,11 @@
 number of workers may execute it concurrently against the same directory
 (and the same schema universe — the plan fingerprint enforces that);
 each loops over the shards, claims whatever is claimable, and scans the
-claimed shard's still-missing cells through the shard-aware
-:func:`repro.core.search.theorem13_scan`, journaling each decided cell
-durably as it lands.
+claimed shard's still-missing cells one by one with
+:func:`repro.core.search.theorem13_cell`, journaling each decided cell
+durably as it lands.  This is the one way to spread a Theorem-13 scan
+over several processes and the one way to resume an interrupted scan:
+run N workers on one directory, then ``repro merge-journals DIR``.
 
 Crash tolerance comes from three properties working together:
 
@@ -25,7 +27,7 @@ Crash tolerance comes from three properties working together:
 Fault sites (``docs/RESILIENCE.md``): ``fabric.shard`` fires on each
 successful claim (attempt = lease generation — kill rules with
 ``attempts=[0]`` kill first owners and spare the thieves),
-``fabric.cell`` fires between settled cells of a shard scan,
+``fabric.cell`` fires after each journaled cell of a shard scan,
 ``fabric.lease.heartbeat`` fires just before each heartbeat write, and
 ``telemetry.frame`` fires before each telemetry heartbeat frame.
 
@@ -46,7 +48,7 @@ import time
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
-from repro.core.search import theorem13_scan
+from repro.core.search import theorem13_cell
 from repro.errors import FabricError, LeaseExpired
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
@@ -54,8 +56,6 @@ from repro.obs import telemetry as _telemetry
 from repro.obs import tracing as _tracing
 from repro.relational.schema import DatabaseSchema
 from repro.resilience import faults as _faults
-from repro.resilience.checkpoint import ScanCheckpoint
-from repro.resilience.retry import RetryPolicy
 from repro.scanfabric import journal as _journal
 from repro.scanfabric.lease import DEFAULT_TTL, ShardLease
 from repro.scanfabric.plan import DEFAULT_SHARD_CELLS, FabricPlan, ensure_plan
@@ -100,20 +100,15 @@ def _scan_shard(
     lease: ShardLease,
     *,
     max_atoms: int,
-    per_relation_cap: Optional[int],
-    mapping_cap: Optional[int],
-    n_workers: int,
-    retry_policy: Optional[RetryPolicy],
-    mp_context,
     clock: Callable[[], float],
     on_cells: Optional[Callable[[int], None]],
     on_pruned: Optional[Callable[[int], None]] = None,
 ) -> _ShardOutcome:
     """Scan one claimed shard's missing cells into a fresh segment.
 
-    Heartbeats ride the scan's progress callback: between settled cells
-    (never blocking inside one) the worker refreshes its lease once a
-    quarter-TTL has passed.  A failed refresh raises
+    Each decided cell is journaled durably before the next one starts.
+    Between cells (never inside one) the worker refreshes its lease once
+    a quarter-TTL has passed; a failed refresh raises
     :class:`LeaseExpired` and the caller abandons the shard.
     """
     assert lease.record is not None
@@ -128,59 +123,53 @@ def _scan_shard(
         # out of the throughput estimate.
         on_pruned(resumed)
 
-    state = {"calls": 0, "last_heartbeat": clock(), "settled": 0}
-
-    def on_progress(done_units: int, total_units: int, proc: str) -> None:
-        state["calls"] += 1
-        if state["calls"] == 1:
-            return  # the baseline report, before any cell settles
-        state["settled"] += 1
-        if on_cells is not None:
-            on_cells(1)
-        _faults.fire("fabric.cell", key=shard_index, attempt=generation)
-        now = clock()
-        if now - state["last_heartbeat"] >= lease.ttl / 4.0:
-            _faults.fire(
-                "fabric.lease.heartbeat", key=shard_index, attempt=generation
-            )
-            if not lease.heartbeat():
-                raise LeaseExpired(
-                    f"shard {shard_index}: lease lost to another owner "
-                    f"(owner={lease.owner}, generation={generation})"
-                )
-            state["last_heartbeat"] = now
-
+    scanned = 0
+    last_heartbeat = clock()
     if remaining:
         segment = _journal.segment_path(
             root, shard_index, generation, lease.owner
         )
-        with ScanCheckpoint.open(
-            segment, plan.scan_fingerprint, durable=True
-        ) as checkpoint:
-            rows = theorem13_scan(
-                schemas,
-                max_atoms=max_atoms,
-                per_relation_cap=per_relation_cap,
-                mapping_cap=mapping_cap,
-                n_workers=n_workers,
-                retry_policy=retry_policy,
-                mp_context=mp_context,
-                checkpoint=checkpoint,
-                on_progress=on_progress,
-                cells=remaining,
-            )
-        undecided = [row for row in rows if row.verdict != "ok"]
-        if undecided:
-            # Undecided cells are never journaled, so the shard can never
-            # finish; in fabric mode that is a configuration error (no
-            # scan/pair deadlines belong here), not a retryable state.
-            raise FabricError(
-                f"shard {shard_index}: {len(undecided)} cell(s) left "
-                "undecided (timeout/unknown); fabric shards must decide "
-                "every cell — rerun without deadlines"
-            )
-    _metrics.registry().counter("fabric.cells.scanned").inc(state["settled"])
-    return _ShardOutcome(scanned=state["settled"], resumed=resumed)
+        with _journal.ScanCheckpoint.open(
+            segment, plan.scan_fingerprint
+        ) as journal, _tracing.span("theorem13.scan"):
+            for i, j in remaining:
+                isomorphic, found, verdict = theorem13_cell(
+                    schemas[i], schemas[j], max_atoms=max_atoms
+                )
+                if verdict != "ok":
+                    # An undecided cell is never journaled, so the shard
+                    # could never finish; the fabric runs without
+                    # deadlines, so this is a configuration error, not a
+                    # retryable state.
+                    raise FabricError(
+                        f"shard {shard_index}: cell ({i}, {j}) left "
+                        f"undecided ({verdict}); fabric shards must decide "
+                        "every cell — rerun without deadlines"
+                    )
+                journal.record(
+                    (i, j),
+                    {"isomorphic": isomorphic, "found": found, "verdict": verdict},
+                )
+                scanned += 1
+                if on_cells is not None:
+                    on_cells(1)
+                _faults.fire("fabric.cell", key=shard_index, attempt=generation)
+                now = clock()
+                if now - last_heartbeat >= lease.ttl / 4.0:
+                    _faults.fire(
+                        "fabric.lease.heartbeat",
+                        key=shard_index,
+                        attempt=generation,
+                    )
+                    if not lease.heartbeat():
+                        raise LeaseExpired(
+                            f"shard {shard_index}: lease lost to another "
+                            f"owner (owner={lease.owner}, "
+                            f"generation={generation})"
+                        )
+                    last_heartbeat = now
+    _metrics.registry().counter("fabric.cells.scanned").inc(scanned)
+    return _ShardOutcome(scanned=scanned, resumed=resumed)
 
 
 def run_fabric_worker(
@@ -188,17 +177,12 @@ def run_fabric_worker(
     schemas: Sequence[DatabaseSchema],
     *,
     max_atoms: int = 2,
-    per_relation_cap: Optional[int] = None,
-    mapping_cap: Optional[int] = None,
     owner: Optional[str] = None,
     ttl: float = DEFAULT_TTL,
     shard_cells: int = DEFAULT_SHARD_CELLS,
     symmetry: bool = True,
     prior: Optional[Union[str, Path]] = None,
     meta: Optional[dict] = None,
-    n_workers: int = 1,
-    retry_policy: Optional[RetryPolicy] = None,
-    mp_context=None,
     poll_interval: Optional[float] = None,
     clock: Callable[[], float] = time.time,
     on_progress: Optional[Callable[[int, int, str], None]] = None,
@@ -222,8 +206,6 @@ def run_fabric_worker(
         root,
         schemas,
         max_atoms=max_atoms,
-        per_relation_cap=per_relation_cap,
-        mapping_cap=mapping_cap,
         shard_cells=shard_cells,
         symmetry=symmetry,
         prior=prior,
@@ -327,11 +309,6 @@ def run_fabric_worker(
                         schemas,
                         lease,
                         max_atoms=max_atoms,
-                        per_relation_cap=per_relation_cap,
-                        mapping_cap=mapping_cap,
-                        n_workers=n_workers,
-                        retry_policy=retry_policy,
-                        mp_context=mp_context,
                         clock=clock,
                         on_cells=on_cells,
                         on_pruned=on_pruned,

@@ -243,7 +243,6 @@ class ServiceServer:
             "status": "ok",
             "engine": {
                 "max_atoms": self.engine.config.max_atoms,
-                "n_workers": self.engine.config.n_workers,
                 "request_workers": self.engine.config.request_workers,
             },
             "deadline": self.config.deadline,

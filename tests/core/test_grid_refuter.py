@@ -4,10 +4,8 @@ Both pair loops of the dominance search refute candidates through
 :class:`GridRefuter`, which shares gadget work across the α×β grid.  These
 tests pin it to the one-pair predicate, pair by pair, and pin the search's
 report lines and the Theorem 13 scan rows to a reference scan that calls
-``quick_reject`` once per pair — sequentially and with two workers.
+``quick_reject`` once per pair.
 """
-
-import multiprocessing
 
 import pytest
 
@@ -27,10 +25,6 @@ WIDE = list(enumerate_keyed_schemas(["T", "U"], max_relations=1, max_arity=2))
 TWO_RELATION = list(
     enumerate_keyed_schemas(["T", "U"], max_relations=2, max_arity=1)
 )
-
-# The reference scans patch a module global; fork carries the patch into
-# the pool workers.
-FORK = multiprocessing.get_context("fork")
 
 
 def _valid(s1, s2):
@@ -111,16 +105,10 @@ SEARCH_PAIRS = [
 ] + [(WIDE[3], WIDE[4]), (WIDE[4], WIDE[7]), (WIDE[0], WIDE[8])]
 
 
-@pytest.mark.parametrize("n_workers", [1, 2])
-def test_search_report_lines_match_pairwise_reference(monkeypatch, n_workers):
+def test_search_report_lines_match_pairwise_reference(monkeypatch):
     def report():
         return [
-            search_report_lines(
-                search_dominance(
-                    s1, s2, max_atoms=2, n_workers=n_workers, mp_context=FORK
-                ),
-                2,
-            )
+            search_report_lines(search_dominance(s1, s2, max_atoms=2), 2)
             for s1, s2 in SEARCH_PAIRS
         ]
 
@@ -130,12 +118,9 @@ def test_search_report_lines_match_pairwise_reference(monkeypatch, n_workers):
     assert any(line == "dominance witness found:" for lines in grid for line in lines)
 
 
-@pytest.mark.parametrize("n_workers", [1, 2])
-def test_theorem13_rows_match_pairwise_reference(monkeypatch, n_workers):
+def test_theorem13_rows_match_pairwise_reference(monkeypatch):
     def rows():
-        return theorem13_scan(
-            WIDE, max_atoms=2, n_workers=n_workers, mp_context=FORK
-        )
+        return theorem13_scan(WIDE, max_atoms=2)
 
     grid = rows()
     monkeypatch.setattr(_search, "GridRefuter", _PairwiseRefuter)

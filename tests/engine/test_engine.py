@@ -94,11 +94,17 @@ def test_mapping_request_bad_head_raises(engine):
 
 
 def test_fingerprint_key_is_canonical():
-    fp1 = scan_fingerprint("search", [_schema(SCHEMA_A)], 2, None, None)
-    fp2 = scan_fingerprint("search", [_schema(SCHEMA_A)], 2, None, None)
+    fp1 = scan_fingerprint("search", [_schema(SCHEMA_A)], 2)
+    fp2 = scan_fingerprint("search", [_schema(SCHEMA_A)], 2)
     assert fingerprint_key(fp1) == fingerprint_key(fp2)
-    fp3 = scan_fingerprint("search", [_schema(SCHEMA_A)], 3, None, None)
+    fp3 = scan_fingerprint("search", [_schema(SCHEMA_A)], 3)
     assert fingerprint_key(fp1) != fingerprint_key(fp3)
+    # The retired enumeration caps stay as null keys, so fingerprints —
+    # persisted result caches, fabric plans, journals — keep their bytes.
+    assert list(fp1) == [
+        "kind", "schemas", "max_atoms", "per_relation_cap", "mapping_cap"
+    ]
+    assert fp1["per_relation_cap"] is None and fp1["mapping_cap"] is None
 
 
 def test_result_cache_lru_bound():

@@ -6,15 +6,13 @@ at most 2, each followed by a shuffled copy, searched with one body atom
 per view.  The paths are:
 
 * the sequential scan and search;
-* a 2-worker process pool under ``fork``;
+* two fork-started processes running the scan fabric on one directory,
+  plus ``merge_journals``;
 * three in-process scan-fabric worker passes plus ``merge_journals``;
 * the :class:`~repro.engine.Engine`;
 * a live service (``/v1/dominance``).
 
-Scan rows and search report lines must agree byte for byte.  The
-exception is the 2-worker search's census line, because parallel chunks
-keep scanning past the first witness.  Spawn-started workers are covered
-by ``tests/obs/test_parallel_obs.py``.
+Scan rows and search report lines must agree byte for byte.
 
 Memo caches and indexed matching must not change a verdict.  Two engines
 with different bounds must be able to share a process.  A zero deadline
@@ -121,9 +119,25 @@ def _fabric_rows(root, universe):
     return [tuple(row) for row in merge_journals(root).rows]
 
 
+def _two_process_fabric_rows(root, universe):
+    """Two fork-started processes share one fabric directory, then merge."""
+    workers = [
+        FORK.Process(
+            target=run_fabric_worker, args=(root, universe),
+            kwargs={"max_atoms": 1, "shard_cells": 2, "owner": f"p{k}"},
+        )
+        for k in range(2)
+    ]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=120)
+    assert [worker.exitcode for worker in workers] == [0, 0]
+    return [tuple(row) for row in merge_journals(root).rows]
+
+
 def test_scan_rows_identical_on_every_path(universe, sequential_rows, tmp_path):
-    pooled = theorem13_scan(universe, max_atoms=1, n_workers=2, mp_context=FORK)
-    assert [tuple(row) for row in pooled] == sequential_rows
+    assert _two_process_fabric_rows(tmp_path / "two", universe) == sequential_rows
     assert _fabric_rows(tmp_path, universe) == sequential_rows
     with Engine(EngineConfig(max_atoms=1)) as engine:
         rows = engine.theorem13_scan(universe)
@@ -139,9 +153,7 @@ def test_search_report_lines_identical_on_every_path(universe, service, pair):
     with Engine(EngineConfig(max_atoms=1)) as engine:
         assert engine.dominance_request(s1, s2)["lines"] == lines
     assert _post_dominance(service.port, s1, s2)["lines"] == lines
-    pooled = search_dominance(s1, s2, max_atoms=1, n_workers=2, mp_context=FORK)
-    assert search_verdict(pooled) == search_verdict(result) == "ok"
-    assert search_report_lines(pooled, 1)[1:] == lines[1:]
+    assert search_verdict(result) == "ok"
 
 
 def _search_lines(atoms):
@@ -191,21 +203,13 @@ def test_two_engines_with_different_bounds_share_a_process(universe):
 
 
 def test_zero_deadline_times_out_and_caches_nothing(universe):
-    scans = [
-        theorem13_scan(universe, max_atoms=1, deadline=0),
-        theorem13_scan(universe, max_atoms=1, n_workers=2, mp_context=FORK, deadline=0),
-    ]
+    scans = [theorem13_scan(universe, max_atoms=1, deadline=0)]
     with Engine(EngineConfig(max_atoms=1)) as engine:
         scans.append(engine.theorem13_scan(universe, deadline=0))
         for i, j in (WITNESS_PAIR, NO_WITNESS_PAIR):
             s1, s2 = universe[i], universe[j]
-            searches = [
-                search_dominance(s1, s2, max_atoms=1, deadline=0),
-                search_dominance(
-                    s1, s2, max_atoms=1, n_workers=2, mp_context=FORK, deadline=0
-                ),
-            ]
-            assert [search_verdict(r) for r in searches] == ["timeout"] * 2
+            result = search_dominance(s1, s2, max_atoms=1, deadline=0)
+            assert search_verdict(result) == "timeout"
             assert engine.dominance_request(s1, s2, deadline=0)["verdict"] == "timeout"
         assert len(engine.result_cache) == 0
     for rows in scans:

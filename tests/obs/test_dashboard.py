@@ -6,7 +6,7 @@ from repro.obs.dashboard import (
     verdict_summary_line,
     write_dashboard,
 )
-from repro.obs.events import retry_event, timeout_event, verdict_event
+from repro.obs.events import fault_event, timeout_event, verdict_event
 from repro.obs.tracing import SpanRecord
 
 
@@ -77,9 +77,12 @@ def test_flamegraph_has_one_lane_per_process_and_sample_tooltips():
 
 
 def test_incident_timeline_lists_events_in_order():
-    incidents = [retry_event(3, 1, "crash"), timeout_event("pair", i=0, j=1)]
+    incidents = [
+        fault_event("fabric.cell", "kill", key="0", attempt=0),
+        timeout_event("pair", i=0, j=1),
+    ]
     text = render_dashboard([], incidents=incidents)
-    assert text.index(">retry<") < text.index(">timeout<")
+    assert text.index(">fault<") < text.index(">timeout<")
     assert "no incidents" not in text
     assert "no incidents" in render_dashboard([])
 

@@ -109,9 +109,9 @@ def test_fold_of_incident_interleaved_trace():
     # A full event stream — spans interleaved with fault/retry/timeout
     # incidents — folds identically to the bare span records: incidents
     # pass through spans_from_events untouched and fold ignores them.
+    # (``retry`` records come from traces written by earlier versions.)
     from repro.obs.events import (
         fault_event,
-        retry_event,
         spans_from_events,
         timeout_event,
         trace_events,
@@ -122,8 +122,9 @@ def test_fold_of_incident_interleaved_trace():
         _record("s0001", None, "scan", 0.0, 4.0),
     ]
     incidents = [
-        fault_event("scan.cell", "kill", key="0,1", attempt=0),
-        retry_event(1, 2, "crash", delay=0.01),
+        fault_event("fabric.cell", "kill", key="0", attempt=0),
+        {"v": 1, "type": "retry", "index": 1, "attempt": 2, "kind": "crash",
+         "delay": 0.01},
         timeout_event("pair", i=0, j=1, seconds=0.5),
     ]
     stream = trace_events(records, counters={"x": 1}, incidents=incidents)

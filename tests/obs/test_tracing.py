@@ -117,26 +117,12 @@ def test_span_records_on_exception(enabled_tracer):
     assert tracing.records()[-1].parent_id is None
 
 
-def test_drain_and_absorb(enabled_tracer):
+def test_drain_forgets_finished_spans(enabled_tracer):
     with span("local"):
         pass
     drained = tracing.drain()
     assert [r.name for r in drained] == ["local"]
     assert tracing.records() == []
-    foreign = [SpanRecord("w0:s0001", None, "remote", 0.0, 0.5, "w0")]
-    tracing.absorb(foreign)
-    absorbed = tracing.records()
-    assert len(absorbed) == 1
-    assert absorbed[0].proc == "w0"
-    assert absorbed[0].duration == 0.5
-
-
-def test_absorb_accepts_plain_tuples(enabled_tracer):
-    # Pickled worker payloads may arrive as bare tuples.
-    tracing.absorb([("w1:s0001", None, "remote", 0.0, 0.25, "w1")])
-    record = tracing.records()[0]
-    assert isinstance(record, SpanRecord)
-    assert record.name == "remote"
 
 
 def test_record_as_dict():

@@ -1,37 +1,39 @@
-"""Unit tests for JSONL checkpoints (:mod:`repro.resilience.checkpoint`)."""
+"""Unit tests for the journal format (:mod:`repro.scanfabric.journal`).
+
+``ScanCheckpoint`` writes the fabric's durable per-shard segments and
+``read_journal`` replays them (and ``merged.jsonl``); a fabric worker
+that resumes a shard trusts exactly what these two agree on.
+"""
 
 import json
 
 import pytest
 
 from repro.errors import CheckpointError
-from repro.resilience import CHECKPOINT_VERSION, ScanCheckpoint
+from repro.scanfabric.journal import CHECKPOINT_VERSION, ScanCheckpoint, read_journal
 
 FP = {"kind": "test", "max_atoms": 1}
 
 
 def test_fresh_checkpoint_writes_header(tmp_path):
     path = tmp_path / "ck.jsonl"
-    with ScanCheckpoint.open(path, FP) as ck:
-        assert len(ck) == 0
+    with ScanCheckpoint.open(path, FP):
+        pass
     lines = path.read_text().splitlines()
     header = json.loads(lines[0])
     assert header == {"v": CHECKPOINT_VERSION, "kind": "header", "fingerprint": FP}
+    assert len(lines) == 1
 
 
 def test_record_get_and_replay(tmp_path):
     path = tmp_path / "ck.jsonl"
     with ScanCheckpoint.open(path, FP) as ck:
         ck.record((0, 1), {"found": True})
-        ck.record(7, {"found": False})
-        assert ck.get((0, 1)) == {"found": True}
-        assert ck.get(7) == {"found": False}  # int keys normalise to (7,)
-        assert ck.get((9, 9)) is None
-        assert len(ck) == 2
-    with ScanCheckpoint.open(path, FP, resume=True) as resumed:
-        assert len(resumed) == 2
-        assert resumed.get((0, 1)) == {"found": True}
-        assert tuple(resumed.done_keys()) == ((0, 1), (7,))
+        ck.record(7, {"found": False})  # int keys normalise to (7,)
+    _, done = read_journal(path, FP)
+    assert done == {(0, 1): {"found": True}, (7,): {"found": False}}
+    assert tuple(done) == ((0, 1), (7,))  # journal order
+    assert done.get((9, 9)) is None
 
 
 def test_duplicate_record_is_idempotent(tmp_path):
@@ -39,7 +41,7 @@ def test_duplicate_record_is_idempotent(tmp_path):
     with ScanCheckpoint.open(path, FP) as ck:
         ck.record((0,), {"x": 1})
         ck.record((0,), {"x": 999})  # ignored: the unit already completed
-        assert ck.get(0) == {"x": 1}
+    assert read_journal(path)[1] == {(0,): {"x": 1}}
     assert len(path.read_text().splitlines()) == 2  # header + one cell
 
 
@@ -47,23 +49,20 @@ def test_open_without_resume_truncates(tmp_path):
     path = tmp_path / "ck.jsonl"
     with ScanCheckpoint.open(path, FP) as ck:
         ck.record((0,), {"x": 1})
-    with ScanCheckpoint.open(path, FP) as fresh:
-        assert len(fresh) == 0
+    with ScanCheckpoint.open(path, FP):
+        pass
     assert len(path.read_text().splitlines()) == 1  # header only
-
-
-def test_resume_missing_file_starts_fresh(tmp_path):
-    path = tmp_path / "absent.jsonl"
-    with ScanCheckpoint.open(path, FP, resume=True) as ck:
-        assert len(ck) == 0
-    assert path.exists()
+    assert read_journal(path)[1] == {}
 
 
 def test_fingerprint_mismatch_refuses_resume(tmp_path):
-    path = tmp_path / "ck.jsonl"
-    ScanCheckpoint.open(path, FP).close()
+    # The fabric's mid-shard resume replays segments through the same
+    # reader: a segment from another scan configuration is refused.
+    from repro.scanfabric import journal
+
+    ScanCheckpoint.open(journal.segment_path(tmp_path, 0, 0, "w1"), FP).close()
     with pytest.raises(CheckpointError, match="different scan configuration"):
-        ScanCheckpoint.open(path, {"kind": "test", "max_atoms": 2}, resume=True)
+        journal.replay_shard(tmp_path, 0, {"kind": "test", "max_atoms": 2})
 
 
 def test_torn_final_line_is_dropped(tmp_path):
@@ -72,9 +71,8 @@ def test_torn_final_line_is_dropped(tmp_path):
         ck.record((0,), {"x": 1})
     with path.open("a", encoding="utf-8") as handle:
         handle.write('{"v": 1, "kind": "cell", "key": [1], "da')  # killed mid-write
-    with ScanCheckpoint.open(path, FP, resume=True) as resumed:
-        assert len(resumed) == 1
-        assert resumed.get((1,)) is None
+    _, done = read_journal(path, FP)
+    assert done == {(0,): {"x": 1}}
 
 
 def test_corruption_before_the_end_is_an_error(tmp_path):
@@ -85,14 +83,14 @@ def test_corruption_before_the_end_is_an_error(tmp_path):
     text[1] = "not json at all"
     path.write_text("\n".join(text + ['{"v": 1, "kind": "cell", "key": [2], "data": {}}']) + "\n")
     with pytest.raises(CheckpointError, match="corrupt"):
-        ScanCheckpoint.open(path, FP, resume=True)
+        read_journal(path, FP)
 
 
 def test_missing_header_is_an_error(tmp_path):
     path = tmp_path / "ck.jsonl"
     path.write_text('{"v": 1, "kind": "cell", "key": [0], "data": {}}\n')
     with pytest.raises(CheckpointError, match="header"):
-        ScanCheckpoint.open(path, FP, resume=True)
+        read_journal(path, FP)
 
 
 def test_version_mismatch_is_an_error(tmp_path):
@@ -101,7 +99,7 @@ def test_version_mismatch_is_an_error(tmp_path):
         json.dumps({"v": 999, "kind": "header", "fingerprint": FP}) + "\n"
     )
     with pytest.raises(CheckpointError, match="version"):
-        ScanCheckpoint.open(path, FP, resume=True)
+        read_journal(path, FP)
 
 
 def test_records_are_flushed_as_written(tmp_path):
@@ -129,10 +127,10 @@ def test_durable_checkpoint_fsyncs_header_and_records(tmp_path, monkeypatch):
         real_fsync(fd)
 
     monkeypatch.setattr(
-        "repro.resilience.checkpoint.os.fsync", counting_fsync
+        "repro.scanfabric.journal.os.fsync", counting_fsync
     )
     path = tmp_path / "ck.jsonl"
-    with ScanCheckpoint.open(path, FP, durable=True) as ck:
+    with ScanCheckpoint.open(path, FP) as ck:
         assert len(synced) == 1  # the header
         ck.record((0, 1), {"found": True})
         assert len(synced) == 2
@@ -142,30 +140,14 @@ def test_durable_checkpoint_fsyncs_header_and_records(tmp_path, monkeypatch):
         assert len(synced) == 3
 
 
-def test_default_checkpoint_never_fsyncs(tmp_path, monkeypatch):
-    def forbidden_fsync(fd):
-        raise AssertionError("non-durable checkpoint must not fsync")
-
-    monkeypatch.setattr(
-        "repro.resilience.checkpoint.os.fsync", forbidden_fsync
-    )
-    path = tmp_path / "ck.jsonl"
-    with ScanCheckpoint.open(path, FP) as ck:
-        ck.record((0, 1), {"found": True})
-    assert len(path.read_text().splitlines()) == 2
-
-
 def test_durable_survives_resume_round_trip(tmp_path):
     path = tmp_path / "ck.jsonl"
-    with ScanCheckpoint.open(path, FP, durable=True) as ck:
+    with ScanCheckpoint.open(path, FP) as ck:
         ck.record((1, 2), {"found": True})
-    with ScanCheckpoint.open(path, FP, resume=True, durable=True) as ck:
-        assert ck.get((1, 2)) == {"found": True}
+    assert read_journal(path, FP)[1] == {(1, 2): {"found": True}}
 
 
 def test_read_journal_round_trip(tmp_path):
-    from repro.resilience.checkpoint import read_journal
-
     path = tmp_path / "ck.jsonl"
     with ScanCheckpoint.open(path, FP) as ck:
         ck.record((0, 1), {"found": True})
@@ -176,8 +158,6 @@ def test_read_journal_round_trip(tmp_path):
 
 
 def test_read_journal_tolerates_torn_tail_only(tmp_path):
-    from repro.resilience.checkpoint import read_journal
-
     path = tmp_path / "ck.jsonl"
     with ScanCheckpoint.open(path, FP) as ck:
         ck.record((0, 1), {"found": True})
@@ -188,8 +168,6 @@ def test_read_journal_tolerates_torn_tail_only(tmp_path):
 
 
 def test_read_journal_rejects_conflicting_duplicates(tmp_path):
-    from repro.resilience.checkpoint import read_journal
-
     path = tmp_path / "ck.jsonl"
     with ScanCheckpoint.open(path, FP) as ck:
         ck.record((0, 1), {"found": True})
@@ -204,8 +182,6 @@ def test_read_journal_rejects_conflicting_duplicates(tmp_path):
 
 
 def test_read_journal_accepts_identical_duplicates(tmp_path):
-    from repro.resilience.checkpoint import read_journal
-
     path = tmp_path / "ck.jsonl"
     with ScanCheckpoint.open(path, FP) as ck:
         ck.record((0, 1), {"found": True})
@@ -220,8 +196,6 @@ def test_read_journal_accepts_identical_duplicates(tmp_path):
 
 
 def test_read_journal_verifies_fingerprint(tmp_path):
-    from repro.resilience.checkpoint import read_journal
-
     path = tmp_path / "ck.jsonl"
     with ScanCheckpoint.open(path, FP) as ck:
         ck.record((0, 1), {"found": True})

@@ -1,43 +1,43 @@
-"""Acceptance tests: the search pipeline under injected faults.
+"""Acceptance tests: scans under injected faults.
 
-These are the ISSUE's acceptance criteria, end to end:
-
-* a fault plan killing one worker per first attempt still terminates
-  ``theorem13_scan`` with verdicts identical to the fault-free run;
+* a fault plan killing the first owner of every fabric shard still ends
+  with merged rows identical to the fault-free scan;
 * a deadline-capped run returns partial results with explicit timeout
   verdicts instead of hanging;
-* a ``KeyboardInterrupt`` mid-scan leaves a usable checkpoint, and
-  ``--resume`` reproduces the uninterrupted report byte-for-byte
-  (excluding perf lines).
+* a ``KeyboardInterrupt`` mid-scan leaves the fabric's journals usable,
+  and rerunning the same worker reproduces the uninterrupted report
+  byte-for-byte (excluding perf and fabric status lines).
+
+A plain ``theorem13_scan`` keeps no journal: the scan fabric is the one
+way to resume a scan or to survive a killed worker.  The kill drill at
+CLI level, three concurrent workers, is
+``tests/scanfabric/test_fabric_cli.py::test_fabric_chaos_three_workers_with_kills_matches_clean_run``.
 """
 
+import multiprocessing
 import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
 import repro
 
-from repro.core.search import scan_fingerprint, search_dominance, theorem13_scan
+from repro.core.search import search_dominance, theorem13_scan
 from repro.obs import metrics
 from repro.relational import parse_schema
-from repro.resilience import (
-    FaultPlan,
-    RetryPolicy,
-    ScanCheckpoint,
-    faults,
-    install,
-    rule,
-)
+from repro.resilience import FaultPlan, faults, install, rule
+from repro.scanfabric import merge_journals, run_fabric_worker
+from repro.scanfabric.journal import read_journal
 from repro.utils import memo
 
 EMP = "emp(ss*: SSN, name: Name)"
 PERSON = "person(id*: SSN, nm: Name)"
 WIDE = "person(id*: SSN, nm: Name, extra: Name)"
 
-FAST = RetryPolicy(max_attempts=3, base_delay=0.01, max_delay=0.05)
+FORK = multiprocessing.get_context("fork")
 
 
 def _schema(text):
@@ -52,20 +52,41 @@ def _counter(name):
     return metrics.registry().snapshot().get(name, 0)
 
 
-def test_worker_kill_per_round_reproduces_fault_free_verdicts():
-    # Acceptance criterion 1: every first-attempt cell is OOM-killed
-    # (attempts=(0,) spares the retries), yet the scan terminates with
-    # the same rows as a clean run.
-    schemas = _schemas()
-    baseline = theorem13_scan(schemas, max_atoms=1, n_workers=2)
-    crashes_before = _counter("resilience.worker_crashes")
-    install([rule("scan.cell", "kill", attempts=[0])])
-    faulted = theorem13_scan(
-        schemas, max_atoms=1, n_workers=2, retry_policy=FAST
+def _fabric_worker(root, schemas, owner, **extra):
+    return run_fabric_worker(
+        root, schemas, max_atoms=1, shard_cells=1, owner=owner,
+        telemetry=False, **extra,
     )
-    assert faulted == baseline
-    assert all(row.consistent_with_theorem13 for row in faulted)
-    assert _counter("resilience.worker_crashes") > crashes_before
+
+
+def test_worker_kill_per_round_reproduces_fault_free_verdicts(tmp_path):
+    # Every first owner of a shard is OOM-killed right after journaling
+    # its first cell (attempts=(0,) spares the thieves), yet the fabric
+    # finishes with the same rows as a clean scan.
+    schemas = _schemas()
+    baseline = theorem13_scan(schemas, max_atoms=1)
+    stolen_before = _counter("fabric.shards.stolen")
+    install([rule("fabric.cell", "kill", attempts=[0])])
+    workers = [
+        FORK.Process(
+            target=_fabric_worker, args=(tmp_path, schemas, f"w{k}"),
+            kwargs={"ttl": 1.0},
+        )
+        for k in range(2)
+    ]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=120)
+    assert [worker.exitcode for worker in workers] == [86, 86]
+    # The installing process is never killed.  Its clock runs far enough
+    # ahead to steal both dead owners' leases; it finishes the rest.
+    _fabric_worker(
+        tmp_path, schemas, "thief", ttl=1.0, clock=lambda: time.time() + 100.0
+    )
+    faults.clear()
+    assert merge_journals(tmp_path).rows == baseline
+    assert _counter("fabric.shards.stolen") >= stolen_before + 2
 
 
 def test_deadline_expires_mid_chase():
@@ -103,34 +124,21 @@ def test_sequential_deadline_zero_yields_explicit_timeout_rows():
 
 
 def test_interrupt_leaves_checkpoint_and_resume_matches(tmp_path):
-    # Acceptance criterion 3 (API level): Ctrl-C after the first settled
-    # cell leaves a journal with that cell; resuming from it completes
-    # the scan with verdicts identical to an uninterrupted run.
+    # API level: Ctrl-C right after the first journaled cell leaves a
+    # segment holding that cell; rerunning the same worker resumes from
+    # it and the merge matches an uninterrupted scan.
     schemas = _schemas()
-    baseline = theorem13_scan(schemas, max_atoms=1, n_workers=2)
-    path = tmp_path / "scan.jsonl"
-    fingerprint = scan_fingerprint("theorem13", schemas, 1, None, None)
-
-    install([rule("scan.cell.done", "interrupt", max_fires=1)])
-    checkpoint = ScanCheckpoint.open(path, fingerprint)
-    try:
-        with pytest.raises(KeyboardInterrupt):
-            theorem13_scan(
-                schemas, max_atoms=1, n_workers=2,
-                retry_policy=FAST, checkpoint=checkpoint,
-            )
-        done = len(checkpoint)
-        assert done >= 1
-    finally:
-        checkpoint.close()
+    baseline = theorem13_scan(schemas, max_atoms=1)
+    install([rule("fabric.cell", "interrupt", max_fires=1)])
+    with pytest.raises(KeyboardInterrupt):
+        _fabric_worker(tmp_path, schemas, "w1")
     faults.clear()
+    segments = sorted((tmp_path / "shards").glob("*.jsonl"))
+    assert sum(len(read_journal(path)[1]) for path in segments) == 1
 
-    with ScanCheckpoint.open(path, fingerprint, resume=True) as resumed:
-        assert len(resumed) == done
-        rows = theorem13_scan(
-            schemas, max_atoms=1, n_workers=2, checkpoint=resumed
-        )
-    assert rows == baseline
+    resumed = _fabric_worker(tmp_path, schemas, "w1")
+    assert resumed.cells_resumed == 1
+    assert merge_journals(tmp_path).rows == baseline
 
 
 def _run_cli(args, tmp_path, extra_env=None):
@@ -149,86 +157,65 @@ def _run_cli(args, tmp_path, extra_env=None):
 
 
 def _report_lines(stdout):
-    # Perf lines carry wall-clock times; everything else must match.
-    return [line for line in stdout.splitlines() if not line.startswith("perf:")]
+    # perf: lines carry wall-clock times and fabric: lines carry run-
+    # specific status; everything else must match.
+    return [
+        line
+        for line in stdout.splitlines()
+        if not line.startswith(("perf:", "fabric:"))
+    ]
+
+
+UNIVERSE_ARGS = [
+    "theorem13", "--types", "T", "--max-relations", "1", "--max-arity", "2",
+]
 
 
 def test_cli_resume_reproduces_uninterrupted_report(tmp_path):
-    # Acceptance criterion 3 (CLI level), byte-for-byte minus perf lines.
-    scan_args = [
-        "theorem13", "--types", "T", "--max-relations", "1",
-        "--max-arity", "2", "--max-atoms", "1", "--workers", "2",
-    ]
+    # CLI level, byte-for-byte minus perf:/fabric: lines.
+    scan_args = UNIVERSE_ARGS + ["--max-atoms", "1"]
     clean = _run_cli(scan_args, tmp_path)
     assert clean.returncode == 0, clean.stderr
 
+    fabric_args = scan_args + [
+        "--fabric", "fab", "--fabric-owner", "w1", "--shard-cells", "2",
+    ]
     plan = FaultPlan(
-        [rule("scan.cell.done", "interrupt", max_fires=1)], install_pid=0
+        [rule("fabric.cell", "interrupt", max_fires=1)], install_pid=0
     )
     interrupted = _run_cli(
-        scan_args + ["--checkpoint", "scan.jsonl"],
-        tmp_path,
-        extra_env={faults.ENV_VAR: plan.as_json()},
+        fabric_args, tmp_path, extra_env={faults.ENV_VAR: plan.as_json()}
     )
     assert interrupted.returncode == 130, interrupted.stdout + interrupted.stderr
-    assert "cell(s) journaled" in interrupted.stdout
-    assert "--resume" in interrupted.stdout
+    assert "journaled cells are safe" in interrupted.stdout
+    assert "rerun the same command to resume" in interrupted.stdout
 
-    resumed = _run_cli(
-        scan_args + ["--checkpoint", "scan.jsonl", "--resume"], tmp_path
-    )
+    resumed = _run_cli(fabric_args, tmp_path)
     assert resumed.returncode == 0, resumed.stdout + resumed.stderr
-    assert _report_lines(resumed.stdout) == _report_lines(clean.stdout)
+    assert "cells_resumed=1" in resumed.stdout
+    merged = _run_cli(["merge-journals", "fab"], tmp_path)
+    assert merged.returncode == 0, merged.stdout + merged.stderr
+    assert _report_lines(merged.stdout) == _report_lines(clean.stdout)
 
 
 def test_cli_checkpoint_mismatch_is_an_input_error(tmp_path):
-    base = [
-        "theorem13", "--types", "T", "--max-relations", "1",
-        "--max-arity", "2", "--workers", "2", "--checkpoint", "scan.jsonl",
-    ]
+    base = UNIVERSE_ARGS + ["--fabric", "fab"]
     first = _run_cli(base + ["--max-atoms", "1"], tmp_path)
     assert first.returncode == 0, first.stderr
-    # Same journal, different scan configuration: refuse to resume.
-    mismatched = _run_cli(base + ["--max-atoms", "2", "--resume"], tmp_path)
+    # Same fabric directory, different scan configuration: refuse to resume.
+    mismatched = _run_cli(base + ["--max-atoms", "2"], tmp_path)
     assert mismatched.returncode == 2
     assert "different scan configuration" in mismatched.stderr
 
 
-def test_cli_interrupt_during_inline_fallback_still_prints_resume_hint(tmp_path):
-    # Regression (satellite b): every first pool attempt is killed so the
-    # scan falls back to in-process execution, and a simulated Ctrl-C
-    # lands exactly on that fallback path (the parent-side retry.inline
-    # site).  The interrupt must surface promptly: exit 130 with the
-    # journal intact and the resume hint printed — not be absorbed into
-    # another retry round.
-    scan_args = [
-        "theorem13", "--types", "T", "--max-relations", "1",
-        "--max-arity", "2", "--max-atoms", "1", "--workers", "2",
-        "--retries", "1",
-    ]
-    clean = _run_cli(scan_args, tmp_path)
-    assert clean.returncode == 0, clean.stderr
+def test_cli_interrupted_plain_scan_points_to_the_fabric(capsys):
+    # A plain scan has nothing to resume from: Ctrl-C still exits 130,
+    # and the message names the resumable alternative.
+    from repro.cli import main
 
-    plan = FaultPlan(
-        [
-            rule("scan.cell", "kill", attempts=[0]),
-            rule("retry.inline", "interrupt", max_fires=1),
-        ],
-        install_pid=0,
-    )
-    interrupted = _run_cli(
-        scan_args + ["--checkpoint", "scan.jsonl"],
-        tmp_path,
-        extra_env={faults.ENV_VAR: plan.as_json()},
-    )
-    assert interrupted.returncode == 130, (
-        interrupted.stdout + interrupted.stderr
-    )
-    assert "cell(s) journaled" in interrupted.stdout
-    assert "--resume" in interrupted.stdout
-
-    resumed = _run_cli(
-        scan_args + ["--checkpoint", "scan.jsonl", "--resume"], tmp_path
-    )
-    assert resumed.returncode == 0, resumed.stdout + resumed.stderr
-    assert _report_lines(resumed.stdout) == _report_lines(clean.stdout)
+    memo.clear_all()  # cold caches so the chase actually runs
+    install([rule("chase.round", "interrupt", max_fires=1)])
+    code = main(UNIVERSE_ARGS + ["--max-atoms", "1"])
+    out = capsys.readouterr().out
+    assert code == 130
+    assert "--fabric DIR" in out

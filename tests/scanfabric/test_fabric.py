@@ -201,13 +201,14 @@ def test_merged_journal_is_a_valid_prior_and_checkpoint(tmp_path):
     assert merge_journals(tmp_path / "next").stats.cells_carried == len(
         plan.carried
     )
-    # (b) as a plain checkpoint: a resumed scan replays every cell.
+    # (b) as a journal of the plain scan configuration: it verifies
+    # against the plain scan fingerprint and replays every cell.
     from repro.core.search import scan_fingerprint
-    from repro.resilience import ScanCheckpoint
+    from repro.scanfabric.journal import read_journal
 
-    fingerprint = scan_fingerprint("theorem13", schemas, 2, None, None)
-    with ScanCheckpoint.open(merged_path, fingerprint, resume=True) as ck:
-        assert len(ck) == len(plan.all_cells)
+    fingerprint = scan_fingerprint("theorem13", schemas, 2)
+    _, done = read_journal(merged_path, fingerprint)
+    assert len(done) == len(plan.all_cells)
 
 
 def test_write_merged_is_atomic_and_rerunnable(tmp_path):

@@ -127,11 +127,12 @@ def test_fabric_single_worker_then_incremental_carries_everything(tmp_path):
 
 
 def test_fabric_flag_conflicts_are_input_errors(tmp_path):
+    # The fabric's journals are the only ones: there is no second kind.
     conflict = _run_cli(
         SCAN_ARGS + ["--fabric", "fab", "--checkpoint", "x.jsonl"], tmp_path
     )
     assert conflict.returncode == 2
-    assert "per-shard journals" in conflict.stderr
+    assert "unrecognized arguments: --checkpoint" in conflict.stderr
     deadline = _run_cli(
         SCAN_ARGS + ["--fabric", "fab", "--deadline", "10"], tmp_path
     )

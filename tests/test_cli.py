@@ -209,24 +209,6 @@ def test_search_prints_perf_line(schema_files, capsys):
     assert "cache hits=" in out and "wall time=" in out
 
 
-def test_search_with_workers(schema_files, capsys):
-    code = main(
-        [
-            "search",
-            schema_files["a"],
-            schema_files["b"],
-            "--max-atoms",
-            "1",
-            "--workers",
-            "2",
-        ]
-    )
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "witness found" in out
-    assert "workers=2" in out
-
-
 @pytest.mark.parametrize("command", ["contains", "search", "theorem13", "serve"])
 def test_help_lists_no_evaluator_or_cache_toggles(command, capsys):
     with pytest.raises(SystemExit):
@@ -234,6 +216,19 @@ def test_help_lists_no_evaluator_or_cache_toggles(command, capsys):
     out = capsys.readouterr().out
     for flag in ("--backend", "--no-cache", "--no-index"):
         assert flag not in out
+
+
+@pytest.mark.parametrize("command", ["search", "theorem13", "serve"])
+def test_help_lists_no_pool_or_checkpoint_flags(command, capsys):
+    # A scan runs in one process; --fabric DIR is the only way to spread
+    # it over several or to resume it.
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    out = capsys.readouterr().out
+    for flag in ("--retries", "--checkpoint", "--resume", "--scan-workers"):
+        assert flag not in out
+    if command != "serve":  # serve's --workers sizes its request threads
+        assert "--workers" not in out
 
 
 def test_search_perf_line_shows_evictions_hides_workers(schema_files, capsys):
@@ -314,35 +309,6 @@ def test_theorem13_trace_is_schema_valid(tmp_path, capsys):
 
     types = {json.loads(line)["type"] for line in lines}
     assert types == {"span_start", "span_end", "counter", "search_verdict"}
-
-
-def test_theorem13_parallel_trace_has_worker_spans(tmp_path, capsys):
-    import json
-
-    trace = tmp_path / "trace.jsonl"
-    code = main(
-        [
-            "theorem13",
-            "--max-arity",
-            "2",
-            "--max-atoms",
-            "1",
-            "--workers",
-            "2",
-            "--trace",
-            str(trace),
-        ]
-    )
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "workers=2" in out
-    procs = {
-        json.loads(line).get("proc")
-        for line in trace.read_text().splitlines()
-        if json.loads(line)["type"].startswith("span_")
-    }
-    assert "" in procs
-    assert any(p and p.startswith("w") for p in procs)
 
 
 def test_search_metrics_json(schema_files, tmp_path, capsys):
