@@ -56,6 +56,7 @@ one Perfetto timeline with per-worker swimlanes and lease instants.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -372,8 +373,7 @@ def _progress_reporter(args: argparse.Namespace, label: str):
 
 
 def _perf_line(
-    cache_hits, cache_misses, cache_evictions, rows_probed, backtracks,
-    wall_time,
+    cache_hits, cache_misses, cache_evictions, backtracks, wall_time
 ) -> str:
     """The registry-rendered one-line perf summary.
 
@@ -381,8 +381,8 @@ def _perf_line(
     """
     return (
         f"perf: cache hits={cache_hits}, cache misses={cache_misses}, "
-        f"cache evictions={cache_evictions}, rows probed={rows_probed}, "
-        f"backtracks={backtracks}, wall time={wall_time:.3f}s"
+        f"cache evictions={cache_evictions}, backtracks={backtracks}, "
+        f"wall time={wall_time:.3f}s"
     )
 
 
@@ -410,7 +410,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     print(
         _perf_line(
             stats.cache_hits, stats.cache_misses, stats.cache_evictions,
-            stats.rows_probed, stats.backtracks, stats.wall_time,
+            stats.backtracks, stats.wall_time,
         )
     )
     _obs_end(
@@ -544,9 +544,8 @@ def _run_theorem13_fabric(args: argparse.Namespace, schemas, types) -> int:
                 )
         except KeyboardInterrupt:
             print(
-                "interrupted; journaled cells are safe — rerun the same "
-                "command to resume (peers may steal this worker's shards "
-                f"after --lease-ttl {args.lease_ttl:g}s)"
+                "interrupted; journaled cells are safe and this worker's "
+                "lease is released — rerun the same command to resume"
             )
             return 130
         finally:
@@ -627,7 +626,6 @@ def _cmd_theorem13(args: argparse.Namespace) -> int:
     print(
         _perf_line(
             int(hits), int(misses), int(evictions),
-            int(delta.get("index.rows_probed", 0)),
             int(delta.get("hom.backtracks", 0)),
             wall,
         )
@@ -1034,12 +1032,23 @@ def main(argv: Sequence[str] | None = None) -> int:
     2 = input error (bad schema/query file, or a fabric journal or plan
     from another scan configuration),
     3 = inconclusive (a --deadline/--pair-deadline budget expired before
-    the scan could decide), 130 = interrupted.
+    the scan could decide), 130 = interrupted, 141 = stdout closed early
+    (``repro ... | head``; 128 + SIGPIPE, as a shell reports it).
     """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at devnull so the
+        # interpreter's exit-time flush of what is still buffered cannot
+        # fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -156,8 +156,7 @@ class SearchStats(NamedTuple):
     original implementation.  The remaining fields are a thin view over
     the metrics registry (:mod:`repro.obs.metrics`): they are computed as
     the registry's delta across the search — memo-cache hits, misses and
-    evictions (``cache.*``), candidate rows returned by index probes
-    (``index.rows_probed``), matcher backtracks (``hom.backtracks``) —
+    evictions (``cache.*``) and matcher backtracks (``hom.backtracks``) —
     plus wall-clock time in seconds.
 
     ``pair_timeouts`` counts pairs whose exact check was abandoned because
@@ -171,7 +170,6 @@ class SearchStats(NamedTuple):
     exact_checks: int
     cache_hits: int = 0
     cache_misses: int = 0
-    rows_probed: int = 0
     backtracks: int = 0
     wall_time: float = 0.0
     cache_evictions: int = 0
@@ -185,7 +183,6 @@ def _stats_from_delta(delta: _metrics.Snapshot) -> Dict[str, int]:
         "cache_hits": int(hits),
         "cache_misses": int(misses),
         "cache_evictions": int(evictions),
-        "rows_probed": int(delta.get("index.rows_probed", 0)),
         "backtracks": int(delta.get("hom.backtracks", 0)),
     }
 

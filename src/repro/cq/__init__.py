@@ -47,7 +47,6 @@ from repro.cq.homomorphism import (
     are_equivalent,
     containment_witness,
     find_homomorphism,
-    find_homomorphism_naive,
     is_contained_in,
 )
 from repro.cq.minimize import is_minimal, minimize
@@ -146,7 +145,6 @@ __all__ = [
     "evaluate",
     "evaluate_naive",
     "find_homomorphism",
-    "find_homomorphism_naive",
     "format_query",
     "has_only_identity_joins",
     "head_type",

@@ -2,14 +2,11 @@
 
 ``q ⊆ q'`` over all instances of a schema iff there is a homomorphism from
 ``q'`` into the canonical database of ``q`` mapping head to head.  The
-search is a backtracking matcher with dynamic most-constrained-atom
-re-ordering at every depth; candidate rows for an atom are fetched through
-per-relation hash indexes on the atom's bound positions
-(:mod:`repro.cq.indexing`) instead of scanning the whole relation.  A
-deliberately naive variant (:func:`find_homomorphism_naive`) is kept for
-differential tests and the E6 ablation benchmark, and ``use_index=False``
-reproduces the pre-index smart matcher (full scans, same ordering) for the
-same purpose.
+search is a plain backtracker: it seeds the assignment from the head, then
+matches the body atoms left to right, each against a full scan of its
+relation.  A canonical database holds one row per body atom, so there is
+nothing for per-atom indexes or re-ordering to win back (the E6 ablation,
+EXPERIMENTS.md).
 
 Typed semantics: variables only ever map to values of their own type
 because atoms only match rows of their own relation, and constants must map
@@ -20,11 +17,10 @@ paper only defines containment for queries of the same type — and raise
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.cq.canonical import CanonicalDatabase, canonical_database
 from repro.cq.equality import substitute_representatives
-from repro.cq.indexing import candidate_rows
 from repro.cq.syntax import Atom, ConjunctiveQuery, Constant, Term, Variable
 from repro.cq.typecheck import head_type
 from repro.errors import TypecheckError
@@ -37,49 +33,7 @@ from repro.resilience import deadline as _deadline
 
 Assignment = Dict[Variable, Value]
 
-_use_index_default: bool = True
-
-
-def set_indexing(enabled: bool) -> bool:
-    """Globally switch indexed matching on or off; returns the old setting.
-
-    With indexing off the matcher scans every row of the atom's relation,
-    reproducing the pre-index implementation — the A/B lever behind the
-    baseline of ``benchmarks/bench_perf.py`` and the unit tests.
-    """
-    global _use_index_default
-    previous = _use_index_default
-    _use_index_default = bool(enabled)
-    return previous
-
-
-def indexing_enabled() -> bool:
-    """True iff indexed matching is the current default."""
-    return _use_index_default
-
-
-class MatchCounters:
-    """Effort counters for the matcher (surfaced via SearchStats).
-
-    A view over the ``hom.*`` metrics of the process-wide registry
-    (:mod:`repro.obs.metrics`); the original attribute API is preserved.
-    """
-
-    __slots__ = ("_backtracks",)
-
-    def __init__(self) -> None:
-        self._backtracks = _metrics.registry().counter("hom.backtracks")
-
-    @property
-    def backtracks(self) -> int:
-        return self._backtracks.value
-
-    def reset(self) -> None:
-        """Zero all counters."""
-        self._backtracks.value = 0
-
-
-counters = MatchCounters()
+_BACKTRACKS = _metrics.registry().counter("hom.backtracks")
 
 
 def _check_same_type(
@@ -131,28 +85,10 @@ def _match_atom(
     return extended
 
 
-def _bound_positions(
-    body_atom: Atom, assignment: Assignment
-) -> List[Tuple[int, Value]]:
-    """(position, required value) pairs fixed by constants or the assignment."""
-    bound: List[Tuple[int, Value]] = []
-    for position, term in enumerate(body_atom.terms):
-        if isinstance(term, Constant):
-            bound.append((position, term.value))
-        else:
-            value = assignment.get(term)
-            if value is not None:
-                bound.append((position, value))
-    return bound
-
-
 def _search(
     atoms: List[Atom],
     target: DatabaseInstance,
     assignment: Assignment,
-    smart_order: bool,
-    use_index: bool,
-    relation_sizes: Dict[str, int],
 ) -> Optional[Assignment]:
     # Cooperative cancellation: every search node is a poll point, so an
     # exponential backtrack under an expired deadline aborts promptly
@@ -160,59 +96,28 @@ def _search(
     _deadline.poll()
     if not atoms:
         return assignment
-    if smart_order:
-        # Re-pick the most constrained atom at every depth: most bound
-        # positions first, smallest relation as the tie-break.  Relation
-        # sizes are hoisted into ``relation_sizes`` once per matcher call.
-        def constrainedness(a: Atom) -> Tuple[int, int]:
-            bound = sum(
-                1
-                for t in a.terms
-                if isinstance(t, Constant) or t in assignment
-            )
-            return (bound, -relation_sizes[a.relation])
-
-        chosen = max(range(len(atoms)), key=lambda i: constrainedness(atoms[i]))
-    else:
-        chosen = 0
-    next_atom = atoms[chosen]
-    # Remove exactly one occurrence (by position): the same Atom object may
+    # Slice off exactly one occurrence: the same Atom object may
     # legitimately appear twice in a body.
-    rest = atoms[:chosen] + atoms[chosen + 1 :]
-    relation = target.relation(next_atom.relation)
-    if use_index:
-        rows: Sequence[Row] = candidate_rows(
-            relation, _bound_positions(next_atom, assignment)
-        )
-    else:
-        rows = relation  # full scan (ablation / naive path)
-    for row in rows:
+    next_atom, rest = atoms[0], atoms[1:]
+    for row in target.relation(next_atom.relation):
         extended = _match_atom(next_atom, row, assignment)
         if extended is not None:
-            result = _search(
-                rest, target, extended, smart_order, use_index, relation_sizes
-            )
+            result = _search(rest, target, extended)
             if result is not None:
                 return result
-    counters._backtracks.inc()
+    _BACKTRACKS.inc()
     return None
 
 
 def find_homomorphism(
-    source: ConjunctiveQuery,
-    target: CanonicalDatabase,
-    smart_order: bool = True,
-    use_index: Optional[bool] = None,
+    source: ConjunctiveQuery, target: CanonicalDatabase
 ) -> Optional[Assignment]:
     """Find a head-preserving homomorphism from ``source`` into ``target``.
 
     ``source`` is rewritten to its equality-free general form first; an
     inconsistent source admits no homomorphism (it denotes the empty query,
-    which is handled by the callers, not here).  ``use_index=None`` follows
-    the global default (:func:`set_indexing`).
+    which is handled by the callers, not here).
     """
-    if use_index is None:
-        use_index = _use_index_default
     with _span("hom.match"):
         rewritten, structure = substitute_representatives(source)
         if structure.inconsistent:
@@ -220,27 +125,13 @@ def find_homomorphism(
         seed = _seed_from_head(rewritten.head.terms, target.head_row)
         if seed is None:
             return None
-        atoms = list(rewritten.body)
-        relation_sizes = {
-            a.relation: len(target.instance.relation(a.relation)) for a in atoms
-        }
-        return _search(
-            atoms, target.instance, seed, smart_order, use_index, relation_sizes
-        )
-
-
-def find_homomorphism_naive(
-    source: ConjunctiveQuery, target: CanonicalDatabase
-) -> Optional[Assignment]:
-    """Reference matcher: left-to-right atom order, full scans, no heuristics."""
-    return find_homomorphism(source, target, smart_order=False, use_index=False)
+        return _search(list(rewritten.body), target.instance, seed)
 
 
 def is_contained_in(
     q1: ConjunctiveQuery,
     q2: ConjunctiveQuery,
     schema: DatabaseSchema,
-    smart_order: bool = True,
 ) -> bool:
     """Decide ``q1 ⊆ q2`` over all instances of ``schema``.
 
@@ -255,7 +146,7 @@ def is_contained_in(
     q2_canonical = canonical_database(q2, schema)
     if q2_canonical is None:
         return False
-    return find_homomorphism(q2, canonical, smart_order=smart_order) is not None
+    return find_homomorphism(q2, canonical) is not None
 
 
 def are_equivalent(

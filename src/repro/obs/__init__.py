@@ -6,8 +6,7 @@ The *production* half collects (see ``docs/OBSERVABILITY.md``):
   and a global on/off switch that makes instrumentation free when off;
 * :mod:`repro.obs.metrics` — the process-wide registry of named
   counters/gauges/histograms (the single source of truth that
-  :mod:`repro.utils.memo`, :mod:`repro.cq.indexing` and
-  :mod:`repro.cq.homomorphism` report into);
+  :mod:`repro.utils.memo` and :mod:`repro.cq.homomorphism` report into);
 * :mod:`repro.obs.events` — versioned JSONL event schema + emitter;
 * :mod:`repro.obs.profiler` — sampling profiler attributing ticks to the
   open span stack.
@@ -20,8 +19,8 @@ The *consumption* half renders what was collected:
   Prometheus text exposition converters;
 * :mod:`repro.obs.dashboard` — a dependency-free self-contained HTML
   report (flamegraph, pair-grid heatmap, tiles, incident timeline);
-* :mod:`repro.obs.progress` — a live terminal progress line (rate, ETA,
-  per-owner census) fed by the scan drivers' ``on_progress`` callbacks,
+* :mod:`repro.obs.progress` — a live terminal progress line (rate, ETA)
+  fed by the scan drivers' ``on_progress`` callbacks,
   plus the self-overwriting multi-line block ``repro top`` renders into.
 
 The *fleet* half watches many collectors at once:

@@ -9,7 +9,7 @@ to CI runs as an artifact, and survives archiving byte-for-byte.
 Sections, in order:
 
 * **tiles** — headline health numbers: wall time, span/process counts,
-  cache hit rate and evictions, rows probed, matcher backtracks,
+  cache hit rate and evictions, matcher backtracks,
   incident count, profiler coverage;
 * **pair grid** — the Theorem-13 scan as a heatmap, one cell per
   unordered schema pair, colored by verdict (``ok``/``timeout``/
@@ -167,7 +167,6 @@ def _tiles_section(
         _tile(str(summary.processes), "processes"),
         _tile(hit_rate, "cache hit rate"),
         _tile(_fmt(evictions), "cache evictions"),
-        _tile(_fmt(snapshot.get("index.rows_probed", 0)), "rows probed"),
         _tile(_fmt(snapshot.get("hom.backtracks", 0)), "backtracks"),
         _tile(_fmt(snapshot.get("search.pairs_tried", 0)), "pairs tried"),
         _tile(str(len(incidents)), "incidents"),

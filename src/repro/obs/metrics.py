@@ -1,11 +1,10 @@
 """Process-wide metrics registry: named counters, gauges and histograms.
 
 This is the single source of truth for the library's effort accounting.
-The ad-hoc counter objects that grew alongside the performance layer —
-:class:`repro.utils.memo.CacheStats`, :class:`repro.cq.indexing.IndexCounters`,
-:class:`repro.cq.homomorphism.MatchCounters` — are now thin views over
-counters registered here, so one snapshot captures a process's whole
-accounting state as a plain dict.
+:class:`repro.utils.memo.CacheStats` is a thin view over counters
+registered here, and the matcher counts ``hom.backtracks`` here directly,
+so one snapshot captures a process's whole accounting state as a plain
+dict.
 
 Metric kinds
 ------------
@@ -18,9 +17,9 @@ Metric kinds
   additively) plus per-process min/max.
 
 Naming convention: dotted lowercase paths, ``<subsystem>.<metric>`` —
-``cache.<cache-name>.hits``, ``index.rows_probed``, ``hom.backtracks``,
-``search.pairs_tried``, ``chase.egd_rounds.count``.  The full list lives
-in ``docs/OBSERVABILITY.md``.
+``cache.<cache-name>.hits``, ``hom.backtracks``, ``search.pairs_tried``,
+``chase.egd_rounds.count``.  The full list lives in
+``docs/OBSERVABILITY.md``.
 
 Aggregation is snapshot/delta based and deliberately dumb:
 

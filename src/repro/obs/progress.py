@@ -1,4 +1,4 @@
-"""Live terminal progress for long scans: rate, ETA, worker utilization.
+"""Live terminal progress for long scans: rate and ETA.
 
 A :class:`ProgressReporter` is a sink for ``(done, total)`` updates from
 a scan driver (:mod:`repro.core.search` invokes its ``on_progress``
@@ -7,15 +7,10 @@ search, cells for a Theorem-13 scan; a fabric worker reports its
 cells).  It renders a single self-overwriting
 status line (carriage return, no scrollback spam)::
 
-    scan 7/45 15.6% | 3.2/s | eta 11.9s | resumed 2 | w0:3 w1:2
+    scan 7/45 20.0% | 3.2/s | eta 11.2s | pruned 2
 
 Properties:
 
-* **Resume-resilient.**  The first reported ``done`` value is the
-  baseline (units already finished before this run): rate and ETA
-  are computed over units completed *this* run only, so a resumed scan
-  shows its true throughput instead of an inflated rate, and the
-  ``resumed N`` field makes the replayed portion explicit.
 * **Rate-limited.**  At most one line per ``min_interval`` seconds
   (final updates always render), so tight loops do not flood a slow
   terminal.
@@ -31,21 +26,13 @@ Properties:
 :class:`LiveBlock` is the multi-line sibling used by ``repro top``: a
 self-overwriting block of N lines redrawn in place with ANSI cursor
 movement.
-
-Per-unit process labels (the ``proc`` argument) accumulate into a
-completion census, shown while it stays legible (at most
-:data:`MAX_WORKER_FIELDS` distinct labels) — a fabric worker labels its
-updates with its owner name.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from typing import Callable, Dict, Optional, TextIO
-
-#: Most distinct worker labels rendered before the census is elided.
-MAX_WORKER_FIELDS = 8
+from typing import Callable, Optional, TextIO
 
 
 def _format_eta(seconds: float) -> str:
@@ -61,7 +48,9 @@ class ProgressReporter:
 
     ``update(done, total, proc)`` is shaped to match the scan drivers'
     ``on_progress`` callback, so a reporter can be passed as
-    ``on_progress=reporter.update``.
+    ``on_progress=reporter.update``; ``proc`` is accepted and ignored.
+    Every driver reports ``done == 0`` first, so the rate is ``done``
+    over the time since that first report.
     """
 
     def __init__(
@@ -76,11 +65,9 @@ class ProgressReporter:
         self.min_interval = min_interval
         self._clock = clock
         self._start: Optional[float] = None
-        self._baseline: Optional[int] = None
         self.done = 0
         self.total = 0
         self.pruned = 0
-        self.per_proc: Dict[str, int] = {}
         self._last_emit: Optional[float] = None
         self._last_line_width = 0
         self.updates = 0
@@ -89,15 +76,10 @@ class ProgressReporter:
         """Report absolute progress; renders unless rate-limited."""
         now = self._clock()
         if self._start is None:
-            # The scan drivers report once up front with the units already
-            # finished; that first value is the baseline.
             self._start = now
-            self._baseline = done
         self.done = done
         self.total = total
         self.updates += 1
-        if proc:
-            self.per_proc[proc] = self.per_proc.get(proc, 0) + 1
         final = total > 0 and done >= total
         if (
             not final
@@ -120,13 +102,12 @@ class ProgressReporter:
 
     def rate(self, now: Optional[float] = None) -> Optional[float]:
         """Units per second completed this run (None before any progress)."""
-        if self._start is None or self._baseline is None:
+        if self._start is None:
             return None
         elapsed = (now if now is not None else self._clock()) - self._start
-        fresh = self.done - self._baseline
-        if elapsed <= 0 or fresh <= 0:
+        if elapsed <= 0 or self.done <= 0:
             return None
-        return fresh / elapsed
+        return self.done / elapsed
 
     def eta(self, now: Optional[float] = None) -> Optional[float]:
         """Estimated seconds to completion (None while rate is unknown)."""
@@ -147,15 +128,8 @@ class ProgressReporter:
         eta = self.eta(now)
         if eta is not None and self.done + self.pruned < self.total:
             parts.append(f"eta {_format_eta(eta)}")
-        if self._baseline:
-            parts.append(f"resumed {self._baseline}")
         if self.pruned:
             parts.append(f"pruned {self.pruned}")
-        if self.per_proc and len(self.per_proc) <= MAX_WORKER_FIELDS:
-            census = " ".join(
-                f"{proc}:{count}" for proc, count in sorted(self.per_proc.items())
-            )
-            parts.append(census)
         return " | ".join(parts)
 
     def _emit(self, line: str) -> None:

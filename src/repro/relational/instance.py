@@ -23,18 +23,12 @@ Row = Tuple[Value, ...]
 
 
 class RelationInstance:
-    """An immutable, typed set of tuples over a relation scheme.
+    """An immutable, typed set of tuples over a relation scheme."""
 
-    ``_index_cache`` holds lazily built hash indexes over the (immutable)
-    row set (:mod:`repro.cq.indexing`); it never participates in equality
-    or hashing.
-    """
-
-    __slots__ = ("_schema", "_rows", "_index_cache", "_hash")
+    __slots__ = ("_schema", "_rows", "_hash")
 
     def __init__(self, schema: RelationSchema, rows: Iterable[Row] = ()) -> None:
         self._schema = schema
-        self._index_cache = None
         self._hash = None
         checked: Set[Row] = set()
         arity = schema.arity
@@ -132,14 +126,12 @@ class RelationInstance:
     # -------------------------------------------------------------- equality
 
     def __getstate__(self):
-        # Indexes and the cached hash are derived data; the hash is also
-        # process-specific (salted string hashing), so both are rebuilt
-        # lazily after unpickling.
+        # The cached hash is process-specific (salted string hashing), so
+        # it is recomputed lazily after unpickling.
         return (self._schema, self._rows)
 
     def __setstate__(self, state) -> None:
         self._schema, self._rows = state
-        self._index_cache = None
         self._hash = None
 
     def __eq__(self, other: object) -> bool:

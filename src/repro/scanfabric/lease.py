@@ -26,7 +26,9 @@ The protocol:
   the merge tolerates identical duplicates.
 * ``release`` marks the record released after the shard's ``.done``
   marker is published, so the lease file never outlives its usefulness
-  as a claim.
+  as a claim.  A worker interrupted or failing mid-shard releases too,
+  so its rerun need not wait out the TTL; only a killed worker leaves
+  its lease to expire.
 
 Clocks: expiry compares one worker's ``clock()`` against another's
 heartbeat timestamp, so wildly skewed clocks across machines can cause

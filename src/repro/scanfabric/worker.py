@@ -15,7 +15,9 @@ Crash tolerance comes from three properties working together:
 * a worker that dies mid-shard stops heartbeating, its lease expires,
   and a surviving worker *steals* the shard — resuming from the union
   of the dead owner's journal segments, so only the in-flight cell is
-  redone;
+  redone; a worker that is interrupted (Ctrl-C) or fails with an
+  exception releases its lease on the way out, so a rerun claims the
+  shard at once;
 * a worker that is merely slow discovers the theft at its next
   heartbeat (:class:`~repro.errors.LeaseExpired`), abandons the shard
   and moves on; its completed cells remain on disk and, being
@@ -195,10 +197,10 @@ def run_fabric_worker(
     whether this worker or its peers produced them.  ``on_progress``
     (same shape as the scan callback: ``(done, total, proc)``) reports
     this worker's cumulative cells over the plan's total scan cells,
-    with ``proc`` fixed to the owner name so a progress census groups
-    by owner; ``on_pruned`` reports cells replayed from existing journal
-    segments (finished without scanning).  ``telemetry=True`` streams
-    heartbeat frames into ``root/telemetry/`` for fleet monitoring.
+    with ``proc`` fixed to the owner name; ``on_pruned`` reports cells
+    replayed from existing journal segments (finished without scanning).
+    ``telemetry=True`` streams heartbeat frames into ``root/telemetry/``
+    for fleet monitoring.
     """
     root = Path(root)
     owner = owner or default_owner()
@@ -298,10 +300,10 @@ def run_fabric_worker(
                     shard_index,
                     record.generation,
                 )
-                _faults.fire(
-                    "fabric.shard", key=shard_index, attempt=record.generation
-                )
                 try:
+                    _faults.fire(
+                        "fabric.shard", key=shard_index, attempt=record.generation
+                    )
                     outcome = _scan_shard(
                         root,
                         plan,
@@ -313,6 +315,15 @@ def run_fabric_worker(
                         on_cells=on_cells,
                         on_pruned=on_pruned,
                     )
+                    _journal.mark_shard_done(
+                        root,
+                        shard_index,
+                        {
+                            "owner": owner,
+                            "generation": record.generation,
+                            "cells": len(plan.shards[shard_index]),
+                        },
+                    )
                 except LeaseExpired:
                     lost += 1
                     registry.counter("fabric.leases.lost").inc()
@@ -320,15 +331,15 @@ def run_fabric_worker(
                     current["shard"] = current["generation"] = None
                     progressed = True  # cells were journaled before the loss
                     continue
-                _journal.mark_shard_done(
-                    root,
-                    shard_index,
-                    {
-                        "owner": owner,
-                        "generation": record.generation,
-                        "cells": len(plan.shards[shard_index]),
-                    },
-                )
+                except BaseException:
+                    # Interrupted or failed while holding the shard: hand
+                    # the lease back before propagating, so a rerun under
+                    # a fresh owner name (or a peer) claims the shard at
+                    # once instead of waiting out the TTL.  A killed
+                    # process never gets here; its lease expires.
+                    lease.release()
+                    lease_note("release", shard_index, record.generation)
+                    raise
                 lease.release()
                 lease_note("release", shard_index, record.generation)
                 current["shard"] = current["generation"] = None

@@ -8,7 +8,7 @@ module provides a small cache layer for them:
 * :class:`Memo` — a bounded LRU cache with hit/miss/eviction counters
   (kept as ``cache.<name>.*`` metrics in :mod:`repro.obs.metrics`);
 * a process-wide named registry (:func:`memo`) so call sites share caches
-  and the CLI/benchmarks can inspect or clear all of them at once;
+  and the benchmarks can clear all of them at once;
 * a global enable switch (:func:`set_enabled`) so the baseline of
   ``benchmarks/bench_perf.py`` and the unit tests can A/B the cached
   against the uncached implementation — while disabled, every lookup
@@ -21,9 +21,9 @@ regime are never served under the other, so an A/B run cannot leak warm
 state from the arm it is supposed to be measuring against.
 
 Caches are per-process.  Under the ``fork`` start method, worker
-processes of the parallel search inherit the parent's warm caches (and
-switch) and keep their own counters from there; under ``spawn`` they
-start cold, with caches enabled.
+processes inherit the parent's warm caches (and switch) and keep their
+own counters from there; under ``spawn`` they start cold, with caches
+enabled.
 
 Caches are also *thread-safe*: the equivalence service
 (:mod:`repro.service`) handles concurrent requests on a thread pool, and
@@ -40,7 +40,7 @@ from __future__ import annotations
 import threading
 import weakref
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Hashable, Tuple
+from typing import Any, Callable, Dict, Hashable
 
 from repro.obs import metrics as _metrics
 
@@ -72,21 +72,13 @@ def set_enabled(enabled: bool) -> bool:
         return previous
 
 
-def caches_enabled() -> bool:
-    """True iff the memo layer is currently active."""
-    return _enabled
-
-
 class CacheStats:
     """Hit/miss/eviction counters for one cache.
 
-    Since the observability layer landed these are *views* over the
-    process-wide metrics registry (:mod:`repro.obs.metrics`) — the cache
-    named ``foo`` owns the counters ``cache.foo.hits`` /
-    ``cache.foo.misses`` / ``cache.foo.evictions``, and this class keeps
-    the original attribute API (readable *and* assignable) on top of
-    them.  Two caches registered under the same name share counters, as
-    they always shared a :class:`Memo` through :func:`memo`.
+    A read-only view over the process-wide metrics registry
+    (:mod:`repro.obs.metrics`): the cache named ``foo`` owns the counters
+    ``cache.foo.hits`` / ``cache.foo.misses`` / ``cache.foo.evictions``.
+    Two caches constructed under the same name share counters.
     """
 
     __slots__ = ("_hits", "_misses", "_evictions")
@@ -101,33 +93,13 @@ class CacheStats:
     def hits(self) -> int:
         return self._hits.value
 
-    @hits.setter
-    def hits(self, value: int) -> None:
-        self._hits.value = value
-
     @property
     def misses(self) -> int:
         return self._misses.value
 
-    @misses.setter
-    def misses(self, value: int) -> None:
-        self._misses.value = value
-
     @property
     def evictions(self) -> int:
         return self._evictions.value
-
-    @evictions.setter
-    def evictions(self, value: int) -> None:
-        self._evictions.value = value
-
-    def as_dict(self) -> Dict[str, int]:
-        """The counters as a plain dict (for reports and JSON)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CacheStats(hits={self.hits}, misses={self.misses}, evictions={self.evictions})"
@@ -208,23 +180,6 @@ class Memo:
             if dropped:
                 self.stats._evictions.inc(dropped)
 
-    def resize(self, maxsize: int) -> None:
-        """Change the size bound; shrinking evicts LRU overflow immediately.
-
-        Previously a re-registration with a smaller ``maxsize`` only
-        updated the bound lazily (the live dict kept its oversized
-        contents until the next insert), so "smaller cache" experiments
-        silently measured the big cache.  Overflow is now evicted — and
-        counted — at resize time.
-        """
-        if maxsize < 1:
-            raise ValueError(f"memo {self.name!r}: maxsize must be positive")
-        with self._lock:
-            self.maxsize = maxsize
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-                self.stats._evictions.inc()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Memo({self.name!r}, {len(self._data)}/{self.maxsize}, {self.stats!r})"
 
@@ -236,48 +191,19 @@ _registry_lock = threading.Lock()
 def memo(name: str, maxsize: int = 4096) -> Memo:
     """The process-wide cache registered under ``name`` (created on first use).
 
-    Later registrations share the first instance.  The effective bound is
-    the *smallest* ever requested: a larger ``maxsize`` never grows an
-    existing cache, while a smaller one shrinks it immediately (evicting
-    and counting LRU overflow) so capped-cache experiments see the cap
-    they asked for.  Registration is thread-safe: two threads racing the
-    first lookup of a name get the same instance.
+    Later registrations share the first instance and its bound.
+    Registration is thread-safe: two threads racing the first lookup of a
+    name get the same instance.
     """
     with _registry_lock:
         cache = _registry.get(name)
         if cache is None:
             cache = Memo(name, maxsize=maxsize)
             _registry[name] = cache
-        elif maxsize < cache.maxsize:
-            cache.resize(maxsize)
         return cache
-
-
-def all_stats() -> Dict[str, Dict[str, int]]:
-    """Per-cache counters for every registered cache.
-
-    A convenience view of the ``cache.*`` metrics; the registry
-    (:func:`repro.obs.metrics.registry`) is the source of truth.
-    """
-    return {name: cache.stats.as_dict() for name, cache in sorted(_registry.items())}
-
-
-def global_counters() -> Tuple[int, int]:
-    """Total (hits, misses) summed over every registered cache."""
-    hits = sum(c.stats.hits for c in _registry.values())
-    misses = sum(c.stats.misses for c in _registry.values())
-    return hits, misses
 
 
 def clear_all() -> None:
     """Empty every registered cache (counters are kept)."""
     for cache in _registry.values():
         cache.clear()
-
-
-def reset_counters() -> None:
-    """Zero every registered cache's counters (entries are kept)."""
-    for cache in _registry.values():
-        cache.stats.hits = 0
-        cache.stats.misses = 0
-        cache.stats.evictions = 0

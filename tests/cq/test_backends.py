@@ -2,22 +2,20 @@
 
 Parity of answers across backends lives in ``test_backend_parity.py``;
 here we pin the dispatcher's backend, plan compilation and caching,
-dispatch observability, and the small-relation scan fast path.
+and dispatch observability.
 """
 
 from repro.cq import evaluation
 from repro.cq.backends.plan import compile_plan
 from repro.cq.evaluation import evaluate
-from repro.cq.indexing import SMALL_RELATION_ROWS, counters
 from repro.cq.syntax import Atom, ConjunctiveQuery, Variable
 from repro.obs import metrics as _metrics
 from repro.obs import tracing
-from repro.relational import DatabaseInstance, Value
+from repro.relational import Value
 from repro.utils import memo
 from repro.workloads import (
     chain_query,
     cycle_query,
-    edge_schema,
     random_graph_instance,
 )
 
@@ -114,35 +112,3 @@ def test_evaluate_span_names_resolved_backend():
         tracing.set_enabled(was)
     assert "evaluate.indexed" in names
 
-
-# ------------------------------------------------- small-relation fast path
-
-
-def test_small_relations_scan_without_building_indexes():
-    from repro.cq.indexing import candidate_rows
-
-    rows = [
-        (Value("Node", i), Value("Node", i + 1))
-        for i in range(SMALL_RELATION_ROWS)
-    ]
-    inst = DatabaseInstance.from_rows(edge_schema(), {"E": rows})
-    relation = inst.relation("E")
-    builds = counters.index_builds
-    matches = candidate_rows(relation, [(0, Value("Node", 2))])
-    assert set(matches) == {(Value("Node", 2), Value("Node", 3))}
-    assert counters.index_builds == builds
-
-
-def test_large_relations_still_use_indexes():
-    from repro.cq.indexing import candidate_rows
-
-    rows = [
-        (Value("Node", i), Value("Node", i + 1))
-        for i in range(SMALL_RELATION_ROWS + 1)
-    ]
-    inst = DatabaseInstance.from_rows(edge_schema(), {"E": rows})
-    relation = inst.relation("E")
-    builds = counters.index_builds
-    matches = candidate_rows(relation, [(0, Value("Node", 2))])
-    assert set(matches) == {(Value("Node", 2), Value("Node", 3))}
-    assert counters.index_builds == builds + 1

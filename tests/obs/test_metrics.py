@@ -87,10 +87,10 @@ def test_sum_matching_and_cache_totals():
         "cache.a.misses": 1,
         "cache.b.hits": 4,
         "cache.b.evictions": 2,
-        "index.rows_probed": 99,
+        "hom.backtracks": 99,
     }
     assert sum_matching(snap, "cache.", ".hits") == 7
-    assert sum_matching(snap, "index.") == 99
+    assert sum_matching(snap, "hom.") == 99
     assert cache_totals(snap) == (7, 1, 2)
 
 
@@ -110,8 +110,12 @@ def test_memo_stats_live_in_default_registry():
     assert cache.stats.hits == start + 1
 
 
-def test_index_and_match_counters_live_in_default_registry():
-    from repro.cq import homomorphism, indexing
+def test_match_backtracks_live_in_default_registry():
+    from repro.cq.homomorphism import is_contained_in
+    from repro.workloads import chain_query, edge_schema
 
-    assert indexing.counters.rows_probed == registry().counter("index.rows_probed").value
-    assert homomorphism.counters.backtracks == registry().counter("hom.backtracks").value
+    counter = registry().counter("hom.backtracks")
+    start = counter.value
+    # chain(1) ⊄ chain(2): the matcher exhausts its search and backtracks.
+    assert not is_contained_in(chain_query(1), chain_query(2), edge_schema())
+    assert counter.value > start

@@ -2,7 +2,7 @@
 
 import io
 
-from repro.obs.progress import MAX_WORKER_FIELDS, ProgressReporter
+from repro.obs.progress import ProgressReporter
 
 
 class _Clock:
@@ -33,24 +33,16 @@ def test_update_shape_matches_on_progress_callback():
     assert reporter.eta() == 1.5
 
 
-def test_first_report_is_resume_baseline():
-    reporter, clock, _ = _reporter()
-    # A resumed scan reports the checkpoint-replayed count up front.
-    reporter.update(6, 10, "")
-    clock.now = 2.0
-    reporter.update(8, 10, "")
-    # Rate covers only this run's 2 fresh units, not the 6 replayed ones.
-    assert reporter.rate() == 1.0
-    assert "resumed 6" in reporter.render()
-
-
 def test_fully_resumed_scan_renders_without_rate():
     reporter, _, stream = _reporter()
-    reporter.update(3, 3, "")
+    # Every cell of the shard was replayed from its journal: the worker
+    # reports 0 first, then the replayed cells as pruned.
+    reporter.update(0, 3, "")
+    reporter.note_pruned(3)
     reporter.finish()
     line = stream.getvalue()
-    assert "scan 3/3 100.0%" in line
-    assert "resumed 3" in line
+    assert "scan 0/3 100.0%" in line
+    assert "pruned 3" in line
     assert "/s" not in line  # no fresh units → no rate claim
 
 
@@ -64,18 +56,6 @@ def test_rate_limiting_skips_intermediate_renders():
     reporter.update(5, 5, "")  # final update always renders
     assert stream.getvalue().count("\r") == 2
     assert reporter.updates == 3
-
-
-def test_worker_census_rendered_and_elided():
-    reporter, _, _ = _reporter()
-    reporter.update(0, 100, "")
-    for i in range(MAX_WORKER_FIELDS):
-        reporter.update(i + 1, 100, f"w{i}")
-    line = reporter.render()
-    assert "w0:1" in line and f"w{MAX_WORKER_FIELDS - 1}:1" in line
-    # One label past the limit elides the census entirely.
-    reporter.update(MAX_WORKER_FIELDS + 1, 100, "wX")
-    assert "w0:1" not in reporter.render()
 
 
 def test_shorter_line_overwrites_longer_one():

@@ -30,7 +30,9 @@ from repro.obs import metrics
 from repro.relational import parse_schema
 from repro.resilience import FaultPlan, faults, install, rule
 from repro.scanfabric import merge_journals, run_fabric_worker
+from repro.obs.telemetry import frame_path, read_telemetry
 from repro.scanfabric.journal import read_journal
+from repro.scanfabric.lease import read_lease
 from repro.utils import memo
 
 EMP = "emp(ss*: SSN, name: Name)"
@@ -137,6 +139,28 @@ def test_interrupt_leaves_checkpoint_and_resume_matches(tmp_path):
     assert sum(len(read_journal(path)[1]) for path in segments) == 1
 
     resumed = _fabric_worker(tmp_path, schemas, "w1")
+    assert resumed.cells_resumed == 1
+    assert merge_journals(tmp_path).rows == baseline
+
+
+def test_interrupt_releases_the_lease_so_a_new_owner_resumes_at_once(tmp_path):
+    # Ctrl-C mid-shard hands the lease back: a rerun under a fresh owner
+    # name (the default owner is ``host-pid``, new on every run) claims
+    # the shard at once instead of waiting out the default 30 s TTL.
+    schemas = _schemas()
+    baseline = theorem13_scan(schemas, max_atoms=1)
+    install([rule("fabric.cell", "interrupt", max_fires=1)])
+    with pytest.raises(KeyboardInterrupt):
+        run_fabric_worker(tmp_path, schemas, max_atoms=1, shard_cells=1, owner="w1")
+    faults.clear()
+    leases = [read_lease(path) for path in sorted((tmp_path / "leases").glob("*.lease"))]
+    assert [(lease.owner, lease.released) for lease in leases] == [("w1", True)]
+    actions = [e["action"] for e in read_telemetry(frame_path(tmp_path, "w1")).leases]
+    assert actions == ["acquire", "release"]
+
+    start = time.monotonic()
+    resumed = _fabric_worker(tmp_path, schemas, "w2")
+    assert time.monotonic() - start < 10.0
     assert resumed.cells_resumed == 1
     assert merge_journals(tmp_path).rows == baseline
 

@@ -376,6 +376,29 @@ def test_python_dash_m_entry_point(schema_files):
     assert "equivalent" in completed.stdout
 
 
+def test_closed_stdout_pipe_exits_141_without_traceback():
+    """`repro ... | head` must not print a traceback or claim a verdict."""
+    import os
+    import subprocess
+    import sys
+
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the CLI writes a byte
+    try:
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "theorem13",
+             "--max-arity", "2", "--max-atoms", "1"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=300,
+        )
+    finally:
+        os.close(write_end)
+    assert completed.returncode == 141
+    assert "Traceback" not in completed.stderr
+
+
 def test_theorem13_prints_verdict_summary_line(capsys):
     code = main(["theorem13", "--max-arity", "1", "--max-atoms", "1"])
     out = capsys.readouterr().out
