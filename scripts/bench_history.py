@@ -35,11 +35,12 @@ With fewer than ``--min-history`` comparable prior entries the gate is
 non-blocking: the entry is appended and the run passes, so the first CI
 run on a fresh branch (or after switching modes) cannot fail.  Exit 2
 means the inputs were unusable (missing/corrupt report).  Each entry also
-keeps the informational optimized/baseline ``ratios``.
+keeps the informational optimized/baseline ``ratios``, and ``--note``
+stores one line saying why the times moved since the previous entry.
 
 Run:  python scripts/bench_history.py [--bench BENCH_perf.json]
           [--history BENCH_history.jsonl] [--threshold 1.5]
-          [--window 5] [--min-history 1]
+          [--window 5] [--min-history 1] [--note TEXT]
 """
 
 from __future__ import annotations
@@ -236,6 +237,10 @@ def main(argv=None) -> int:
         "--dry-run", action="store_true",
         help="gate without appending to the history file",
     )
+    parser.add_argument(
+        "--note",
+        help="why the times moved since the previous entry (kept in the entry)",
+    )
     args = parser.parse_args(argv)
 
     try:
@@ -244,6 +249,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}")
         return 2
+    if args.note:
+        entry["note"] = args.note
 
     history_path = Path(args.history)
     history = load_history(history_path)

@@ -48,6 +48,7 @@ from typing import (
     Tuple,
 )
 
+from repro.core import obstructions as _obstructions
 # quick_reject is looked up here by perfbench/layers.py, which times it.
 from repro.core.counterexample import GridRefuter, quick_reject  # noqa: F401
 from repro.errors import DeadlineExceeded
@@ -227,6 +228,55 @@ def _checked_pair(
             return False, True
 
 
+# Validated candidate lists of one search call, keyed by direction:
+# (source, target) → every valid mapping source → target, in enumeration
+# order.
+CandidateLists = Dict[Tuple[DatabaseSchema, DatabaseSchema], List[QueryMapping]]
+
+
+def _settled_by_lemma(
+    s1: DatabaseSchema, s2: DatabaseSchema, started: float
+) -> Optional[DominanceSearchResult]:
+    """The complete, empty not-found result when a lemma refutes S₁ ⪯ S₂.
+
+    ``None`` when no obstruction fires.  The prefilter is looked up
+    through :mod:`repro.core.obstructions` at call time, where the
+    benchmark's per-layer timers wrap it.
+    """
+    if not _obstructions.dominance_obstructions(s1, s2):
+        return None
+    _metrics.registry().counter("search.obstructed").inc()
+    return DominanceSearchResult(
+        None,
+        SearchStats(0, 0, 0, 0, 0, wall_time=time.perf_counter() - started),
+    )
+
+
+def _valid_mappings(
+    source: DatabaseSchema,
+    target: DatabaseSchema,
+    max_atoms: int,
+    candidates: CandidateLists,
+    out: List[QueryMapping],
+) -> List[QueryMapping]:
+    """The valid mappings source → target, enumerated once per call.
+
+    A list already in ``candidates`` is returned as it is.  Otherwise the
+    valid mappings are appended to ``out``, which therefore holds the
+    part that ran when the deadline expires; only a finished list is
+    recorded in ``candidates``.
+    """
+    known = candidates.get((source, target))
+    if known is not None:
+        return known
+    for m in enumerate_mappings(source, target, max_atoms=max_atoms):
+        _deadline.poll()
+        if is_valid(m):
+            out.append(m)
+    candidates[(source, target)] = out
+    return out
+
+
 def search_dominance(
     s1: DatabaseSchema,
     s2: DatabaseSchema,
@@ -234,6 +284,7 @@ def search_dominance(
     deadline: _deadline.DeadlineLike = None,
     pair_deadline: Optional[float] = None,
     on_progress: Optional[Callable[[int, int, str], None]] = None,
+    candidates: Optional[CandidateLists] = None,
 ) -> DominanceSearchResult:
     """Bounded exhaustive search for a witness of S₁ ⪯ S₂.
 
@@ -241,11 +292,17 @@ def search_dominance(
     are all candidate β : S₂ → S₁; surviving pairs are gadget-refuted and
     then checked exactly.  Within the bounds the search is complete: if it
     returns no pair *and* ``result.complete``, no constant-free witness
-    with ≤ ``max_atoms`` body atoms per view exists.
+    with ≤ ``max_atoms`` body atoms per view exists.  When S₁ = S₂ the α
+    list is the β list, so it is validated once.
 
     A sound lemma-based pre-filter (:mod:`repro.core.obstructions`) runs
     first: when a necessary condition for dominance is already violated,
     the search returns immediately with empty statistics.
+
+    ``candidates`` is the caller's working set of validated lists for
+    this bound (:func:`search_equivalence` passes one to both of its
+    directions): a list found there is reused, and a list validated here
+    is added to it.  Without it the lists live only for this call.
 
     The pair grid is scanned in α-major order and the search stops at the
     first witness, so the returned witness is deterministic.
@@ -260,12 +317,11 @@ def search_dominance(
     the witness — sized for
     :class:`repro.obs.progress.ProgressReporter.update`.
     """
-    from repro.core.obstructions import dominance_obstructions
-
     registry = _metrics.registry()
     start_time = time.perf_counter()
     counters_before = registry.snapshot()
     scan_dl = _deadline.as_deadline(deadline, label="search")
+    lists: CandidateLists = {} if candidates is None else candidates
     alphas: List[QueryMapping] = []
     betas: List[QueryMapping] = []
     pairs_tried = 0
@@ -276,24 +332,12 @@ def search_dominance(
     complete = True
     with _span("search.dominance"), _deadline.deadline_scope(scan_dl) as scope:
         try:
-            if dominance_obstructions(s1, s2):
-                registry.counter("search.obstructed").inc()
-                return DominanceSearchResult(
-                    None,
-                    SearchStats(
-                        0, 0, 0, 0, 0,
-                        wall_time=time.perf_counter() - start_time,
-                    ),
-                )
+            settled = _settled_by_lemma(s1, s2, start_time)
+            if settled is not None:
+                return settled
             with _span("search.enumerate"):
-                for m in enumerate_mappings(s1, s2, max_atoms=max_atoms):
-                    _deadline.poll()
-                    if is_valid(m):
-                        alphas.append(m)
-                for m in enumerate_mappings(s2, s1, max_atoms=max_atoms):
-                    _deadline.poll()
-                    if is_valid(m):
-                        betas.append(m)
+                alphas = _valid_mappings(s1, s2, max_atoms, lists, alphas)
+                betas = _valid_mappings(s2, s1, max_atoms, lists, betas)
             total_pairs = len(alphas) * len(betas)
             if total_pairs > 0:
                 refuter = GridRefuter(alphas, betas)
@@ -360,7 +404,21 @@ def search_dominance(
 
 
 class EquivalenceSearchResult(NamedTuple):
-    """Outcome of :func:`search_equivalence`."""
+    """Outcome of :func:`search_equivalence`.
+
+    Each direction is a :class:`DominanceSearchResult`; which ones ran
+    depends on how the cell was settled:
+
+    * *settled backward by a lemma*: ``backward`` is the obstructed
+      result of S₂ ⪯ S₁ (complete, no pair, empty statistics) and
+      ``forward`` was never run: it is complete, empty and has no pair;
+    * *diagonal cell* (S₁ = S₂): the backward search would repeat the
+      forward one, so ``backward is forward`` and :attr:`pair_timeouts`
+      counts that result once;
+    * *forward search found no witness* (a lemma refuting S₁ ⪯ S₂
+      included): ``backward`` is ``None``;
+    * otherwise both directions ran.
+    """
 
     forward: DominanceSearchResult
     backward: Optional[DominanceSearchResult]
@@ -383,7 +441,7 @@ class EquivalenceSearchResult(NamedTuple):
     def pair_timeouts(self) -> int:
         """Total pairs left undecided by per-pair deadlines."""
         total = self.forward.stats.pair_timeouts
-        if self.backward is not None:
+        if self.backward is not None and self.backward is not self.forward:
             total += self.backward.stats.pair_timeouts
         return total
 
@@ -397,19 +455,35 @@ def search_equivalence(
 ) -> EquivalenceSearchResult:
     """Bounded search for equivalence witnesses in both directions.
 
-    The backward search only runs when the forward one succeeds.  Both
-    directions share one ``deadline`` budget.
+    Theorem 13's equivalence is dominance both ways, so the cell is
+    settled as soon as either direction is refuted.  The lemma prefilter
+    of the backward direction runs first, before any enumeration; the
+    forward search (with its own prefilter) runs next, and the backward
+    search only when the forward one found a witness.  The two searches
+    share one working set of validated candidate lists, so the backward
+    search reuses the forward lists with α and β swapped, and a diagonal
+    cell (S₁ = S₂) runs one search.  Both directions share one
+    ``deadline`` budget.
     """
+    backward = _settled_by_lemma(s2, s1, time.perf_counter())
+    if backward is not None:
+        unrun = DominanceSearchResult(None, SearchStats(0, 0, 0, 0, 0))
+        return EquivalenceSearchResult(unrun, backward)
     shared_dl = _deadline.as_deadline(deadline, label="search")
+    candidates: CandidateLists = {}
     forward = search_dominance(
         s1, s2, max_atoms=max_atoms,
         deadline=shared_dl, pair_deadline=pair_deadline,
+        candidates=candidates,
     )
+    if s1 == s2:
+        return EquivalenceSearchResult(forward, forward)
     if not forward.found:
         return EquivalenceSearchResult(forward, None)
     backward = search_dominance(
         s2, s1, max_atoms=max_atoms,
         deadline=shared_dl, pair_deadline=pair_deadline,
+        candidates=candidates,
     )
     return EquivalenceSearchResult(forward, backward)
 

@@ -46,7 +46,7 @@ class EqualityStructure:
     answer on every database.
     """
 
-    __slots__ = ("uf", "_constants", "inconsistent")
+    __slots__ = ("uf", "_constants", "_resolved", "inconsistent")
 
     def __init__(self, query: ConjunctiveQuery) -> None:
         self.uf: UnionFind = UnionFind()
@@ -58,13 +58,25 @@ class EqualityStructure:
             self.uf.union(left, right)
         self._constants: Dict[Term, Value] = {}
         self.inconsistent = False
+        least: Dict[Term, Variable] = {}
         for term in list(self.uf):
+            rep = self.uf.find(term)
             if isinstance(term, Constant):
-                rep = self.uf.find(term)
                 existing = self._constants.get(rep)
                 if existing is not None and existing != term.value:
                     self.inconsistent = True
                 self._constants[rep] = term.value
+            elif rep not in least or term.name < least[rep].name:
+                least[rep] = term  # the class's least variable by name
+        # What resolve returns for each variable, so that it is one lookup.
+        self._resolved: Dict[Term, Term] = {}
+        for term in self.uf:
+            if isinstance(term, Variable):
+                rep = self.uf.find(term)
+                pinned = self._constants.get(rep)
+                self._resolved[term] = (
+                    least[rep] if pinned is None else Constant(pinned)
+                )
 
     def representative(self, term: Term) -> Term:
         """The canonical representative of ``term``'s equality class."""
@@ -99,18 +111,10 @@ class EqualityStructure:
         Classes pinned to a constant resolve to that constant; other classes
         resolve to their representative variable (representatives of mixed
         classes are made deterministic by choosing the lexicographically
-        least variable).
+        least variable).  A constant, and a term the query never mentions,
+        resolves to itself.
         """
-        pinned = self.constant_of(term)
-        if pinned is not None:
-            return Constant(pinned)
-        if isinstance(term, Constant):
-            return term
-        cls_vars = sorted(
-            (t for t in self.uf.class_of(term) if isinstance(t, Variable)),
-            key=lambda v: v.name,
-        )
-        return cls_vars[0] if cls_vars else term
+        return self._resolved.get(term, term)
 
 
 def equality_structure(query: ConjunctiveQuery) -> EqualityStructure:

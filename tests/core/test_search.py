@@ -1,7 +1,12 @@
 """Unit tests for the bounded exhaustive search (experiment E1 machinery)."""
 
+import random
+import sys
+import threading
+
 import pytest
 
+from repro.core import search as search_module
 from repro.core.search import (
     enumerate_mappings,
     enumerate_view_queries,
@@ -9,8 +14,11 @@ from repro.core.search import (
     search_equivalence,
     theorem13_scan,
 )
+from repro.cq.parser import format_query
 from repro.cq.typecheck import is_well_typed
+from repro.obs import metrics
 from repro.relational import is_isomorphic, parse_schema, relation, schema
+from repro.workloads.schema_gen import enumerate_keyed_schemas, shuffled_copy
 
 
 @pytest.fixture
@@ -114,3 +122,97 @@ def test_search_on_empty_candidate_grid():
     assert result.stats.alpha_candidates == 0
     assert result.stats.beta_candidates == 0
     assert result.stats.pairs_tried == 0
+
+
+def _direction(result):
+    """A dominance result as (witness, census, complete), witness formatted."""
+    witness = None
+    if result.found:
+        witness = (
+            tuple(format_query(v.query) for v in result.pair.alpha),
+            tuple(format_query(v.query) for v in result.pair.beta),
+        )
+    stats = result.stats
+    census = (
+        stats.alpha_candidates,
+        stats.beta_candidates,
+        stats.pairs_tried,
+        stats.pairs_gadget_rejected,
+        stats.exact_checks,
+    )
+    return witness, census, result.complete
+
+
+def _equivalence(result):
+    backward = None if result.backward is None else _direction(result.backward)
+    return _direction(result.forward), backward, result.found
+
+
+def test_cell_settled_backward_by_lemma_runs_no_enumeration(monkeypatch):
+    """S₁ ⪯ S₂ is open, S₂ ⪯ S₁ fails by key pigeonhole: no grid runs."""
+    s1, _ = parse_schema("R(a*: T, b: T)")
+    s2, _ = parse_schema("P(x*: T, y*: T)")
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("a cell settled by a lemma must not enumerate")
+
+    monkeypatch.setattr(search_module, "enumerate_mappings", no_enumeration)
+    before = metrics.registry().snapshot().get("search.obstructed", 0)
+    result = search_equivalence(s1, s2, max_atoms=2)
+    after = metrics.registry().snapshot().get("search.obstructed", 0)
+    assert not result.found
+    assert result.complete
+    assert result.pair_timeouts == 0
+    assert after - before == 1
+    # The documented shape: forward unrun, backward the obstructed result.
+    assert _direction(result.forward) == (None, (0, 0, 0, 0, 0), True)
+    assert _direction(result.backward) == (None, (0, 0, 0, 0, 0), True)
+
+
+def test_backward_direction_matches_a_standalone_search():
+    """Reusing the forward lists swapped changes no witness and no census."""
+    rng = random.Random(5)
+    classes = list(enumerate_keyed_schemas(["T", "U"], 1, 2))
+    schemas = classes + [shuffled_copy(s, rng.randrange(1 << 30)) for s in classes]
+    pairs = [(a, b) for a in schemas for b in schemas if is_isomorphic(a, b)]
+    assert len(pairs) == 36
+    for s1, s2 in pairs:
+        result = search_equivalence(s1, s2)
+        assert result.found, (s1, s2)
+        alone = search_dominance(s2, s1)
+        assert _direction(result.backward) == _direction(alone), (s1, s2)
+        if s1 == s2:
+            assert result.backward is result.forward
+
+
+def test_concurrent_equivalence_searches_match_sequential_ones():
+    """Each call owns its working set: threads do not see each other's lists."""
+    pairs = [
+        (parse_schema("R(a*: T, b: U)")[0], parse_schema("P(x*: T, y: U)")[0]),
+        (parse_schema("R(a*: T, b: T)")[0], parse_schema("P(y: T, x*: T)")[0]),
+        (parse_schema("R(a*: T, b*: U)")[0], parse_schema("R(a*: T, b*: U)")[0]),
+        (parse_schema("R(a*: T, b: T)")[0], parse_schema("P(x*: T, y*: T)")[0]),
+    ]
+    expected = [_equivalence(search_equivalence(*pair)) for pair in pairs]
+    got = [None] * len(pairs)
+    failures = []
+
+    def run(index):
+        try:
+            got[index] = _equivalence(search_equivalence(*pairs[index]))
+        except Exception as exc:  # reported below, in the test's thread
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(pairs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures, failures
+    assert got == expected

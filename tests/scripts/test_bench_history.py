@@ -199,6 +199,15 @@ def test_dry_run_does_not_append(bench_history, paths):
     assert not history.exists()
 
 
+def test_note_is_kept_in_the_entry(bench_history, paths):
+    bench, history = paths
+    assert _run(bench_history, bench, history, _report(), "--note", "why") == 0
+    assert _run(bench_history, bench, history, _report()) == 0
+    first, second = (json.loads(l) for l in history.read_text().splitlines())
+    assert first["note"] == "why"
+    assert "note" not in second
+
+
 def test_threshold_flag_tightens_the_gate(bench_history, paths):
     bench, history = paths
     assert _run(bench_history, bench, history, _report(e1_optimized=0.5)) == 0
